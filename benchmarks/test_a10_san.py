@@ -22,7 +22,7 @@ from repro.bench.workloads import (
     fanout_expected_exit,
     make_shell,
 )
-from repro.sanitize import cancel_sanitize, request_sanitize
+from repro.session import Session
 from repro.sanitize.corpus import case_named
 
 WIDTH = 12
@@ -36,8 +36,8 @@ VOLATILE_FANOUT_CYCLES = 2_603_166
 
 def run_fanout(armed: bool):
     """The E2 fanout, with or without the sanitizer watching."""
-    sanitizer = request_sanitize() if armed else None
-    try:
+    with Session(sanitize_limit=256 if armed else None).run() as run:
+        sanitizer = run.sanitizer
         system = boot()
         kernel = system.kernel
         shell = make_shell(kernel)
@@ -48,9 +48,6 @@ def run_fanout(armed: bool):
         proc = kernel.create_machine_process("p", graph.executable)
         code = kernel.run_until_exit(proc)
         wall = time.perf_counter() - wall_start
-    finally:
-        if armed:
-            cancel_sanitize()
     assert code == fanout_expected_exit(USED)
     if sanitizer is not None:
         assert sanitizer.report.clean, sanitizer.report.render()

@@ -11,7 +11,6 @@ objects and never issues a syscall. The host-side cost of sweeping
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro import boot
@@ -21,6 +20,7 @@ from repro.bench.workloads import (
     fanout_expected_exit,
     make_shell,
 )
+from repro.session import Session
 from repro.tools.cli import reprolint_main
 
 WIDTH = 12
@@ -28,10 +28,8 @@ USED = 12
 
 
 def run_fanout(verify: bool):
-    """The E2 fanout with the lint gate toggled via REPRO_LINT."""
-    saved = os.environ.get("REPRO_LINT")
-    os.environ["REPRO_LINT"] = "1" if verify else "0"
-    try:
+    """The E2 fanout with the lint gate toggled by the session."""
+    with Session(lint=verify).run():
         system = boot()
         kernel = system.kernel
         shell = make_shell(kernel)
@@ -44,11 +42,6 @@ def run_fanout(verify: bool):
         assert code == fanout_expected_exit(USED)
         return wall, kernel.clock.cycles, \
             dict(kernel.clock.by_category), kernel, shell
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_LINT", None)
-        else:
-            os.environ["REPRO_LINT"] = saved
 
 
 def lint_everything(kernel, shell):

@@ -25,10 +25,9 @@ from repro.bench.workloads import (
     fanout_expected_exit,
     make_shell,
 )
-from repro.inject import cancel_injection, request_injection
+from repro.session import Session
 from repro.tools.cli import _campaign_plans
-from repro.trace import tracer as trace_state
-from repro.trace.tracer import cancel_tracing, request_tracing
+from repro.trace.tracer import DEFAULT_CAPACITY
 
 WIDTH = 12
 USED = 12
@@ -69,25 +68,20 @@ def run_scale(implementation: str, plans=None):
     from repro.apps.rwho.cluster import run_cluster_rwho, synth_statuses
     from repro.net import Cluster
 
-    if plans is not None:
-        request_injection(plans, seed=SEED)
-    request_tracing(kinds=["NET", "INJECT"])
-    try:
+    session = Session(trace_kinds=("NET", "INJECT"),
+                      trace_capacity=DEFAULT_CAPACITY,
+                      plans=plans or (), inject_seed=SEED)
+    with session.run() as run:
         cluster = Cluster(NNODES, seed=SEED)
         result = run_cluster_rwho(cluster, synth_statuses(NHOSTS),
                                   implementation, readers=READERS,
                                   max_rounds=500_000)
         cluster.shutdown()
-        tracer = trace_state.TRACER
-        stream = tuple(
-            (event.boot, event.cycle, event.pid, event.addr,
-             event.name, event.value)
-            for event in tracer.events()
-        )
-    finally:
-        cancel_tracing()
-        if plans is not None:
-            cancel_injection()
+    stream = tuple(
+        (event.boot, event.cycle, event.pid, event.addr,
+         event.name, event.value)
+        for event in run.tracer.events()
+    )
     return result, stream
 
 

@@ -27,14 +27,9 @@ from repro.bench.workloads import (
 )
 from repro.disk import BlockDevice
 from repro.disk.fsck import fsck
-from repro.inject import (
-    FaultKind,
-    FaultPlan,
-    Plane,
-    cancel_injection,
-    request_injection,
-)
+from repro.inject import FaultKind, FaultPlan, Plane
 from repro.net import Cluster
+from repro.session import Session
 
 WIDTH = 12
 USED = 12
@@ -101,9 +96,7 @@ def run_recovery(crashes: int):
     statuses = synth_statuses(NHOSTS)
     oracle = single_kernel_rwho(statuses)
     plans = SCHEDULES[crashes]
-    if plans:
-        request_injection(plans, seed=SEED)
-    try:
+    with Session(plans=plans, inject_seed=SEED).run():
         disks = [BlockDevice(seed=7) if node == 0 else None
                  for node in range(NNODES)]
         cluster = Cluster(NNODES, seed=SEED, disks=disks, ha=True)
@@ -112,9 +105,6 @@ def run_recovery(crashes: int):
         fsck_codes = tuple(
             fsck(cluster.machines[0].kernel.disk.device.reopen(),
                  subject=f"e13-home-{crashes}").report.codes())
-    finally:
-        if plans:
-            cancel_injection()
     assert result["converged"], \
         f"schedule with {crashes} crash(es) did not re-converge"
     return {

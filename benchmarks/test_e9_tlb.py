@@ -21,10 +21,7 @@ from repro.bench.workloads import (
 )
 from repro.hw.asm import assemble
 from repro.linker.lds import LinkRequest, store_object
-from repro.vm.address_space import (
-    default_tlb_enabled,
-    set_default_tlb_enabled,
-)
+from repro.session import Session
 
 # Pre-TLB seed totals for the E2 fanout (width=12, used=1) — the same
 # pins tests/test_trace.py and tests/test_vm_tlb.py enforce. Any drift
@@ -93,12 +90,8 @@ def run_fanout(width: int, used: int, lazy: bool):
 
 
 def _with_tlb(enabled: bool, fn, *args):
-    saved = default_tlb_enabled()
-    set_default_tlb_enabled(enabled)
-    try:
+    with Session(tlb=enabled).run():
         return fn(*args)
-    finally:
-        set_default_tlb_enabled(saved)
 
 
 def test_e9_tlb_speedup_and_cycle_identity(report, benchmark):

@@ -95,11 +95,13 @@ def boot(lazy: bool = True, addrmap=None,
     * *scoped* — scoped linking (the paper's design) vs a traditional
       flat namespace (the A6 ablation);
     * *verify* — arm the reprolint static-verification gate in both
-      lds and ldl (None = follow the REPRO_LINT environment variable).
+      lds and ldl (None = follow the current session's ``lint``, see
+      :mod:`repro.session`).
       The gate is purely in-memory and charges zero simulated cycles.
     * *disk* — a :class:`repro.disk.BlockDevice` to mount as the durable
       store: blank devices are formatted, used ones are recovered
-      (journal replay + addr↔inode rebuild). None boots all-volatile.
+      (journal replay + addr↔inode rebuild). None boots all-volatile,
+      unless the current session mounts a fresh store on every boot.
     * *net* — a cluster attachment (one :class:`repro.net.Cluster` slot)
       wiring this machine's NIC and coherence agent. None (the default)
       boots the classic stand-alone machine; :class:`repro.net.Cluster`
@@ -113,8 +115,9 @@ def boot(lazy: bool = True, addrmap=None,
       processes onto K cores in deterministic rounds with sub-quantum
       interleaving; K=1 (the default) is the classic uniprocessor
       scheduler, bit-identical to every release before SMP existed.
-      None consults the REPRO_CORES environment variable, so existing
-      workloads can be rerun multi-core without touching their code.
+      None follows the current session's ``ncores`` (``REPRO_CORES``),
+      so existing workloads can be rerun multi-core without touching
+      their code.
     """
     kernel = Kernel(addrmap=addrmap, costs=costs,
                     wide_addresses=wide_addresses, disk=disk,

@@ -14,8 +14,9 @@ Entry points:
   ``reprolint`` CLI by peeking module exports through the simulated
   file system (this one *does* spend simulated cycles — it is
   tooling, not a load path);
-* :func:`lint_enabled_default` — the ``REPRO_LINT=1`` env toggle the
-  linkers consult when no explicit ``verify=`` was passed.
+* :func:`lint_enabled_default` — the session's ``lint`` switch
+  (``REPRO_LINT=1``) the linkers consult when no explicit ``verify=``
+  was passed.
 
 Invariant checked on every relocatable: the REL004 far-call findings
 must agree one-for-one with
@@ -25,9 +26,9 @@ lds actually uses — the advisory and the transform can never drift.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, List, Optional, Tuple
 
+from repro import session as _session
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.linker.branch_islands import count_far_jumps
@@ -57,8 +58,8 @@ CHECKS: List[Tuple[str, Callable[..., None]]] = [
 
 
 def lint_enabled_default() -> bool:
-    """The linkers' default when ``verify=None``: the REPRO_LINT env."""
-    return os.environ.get("REPRO_LINT", "0") not in ("", "0")
+    """The linkers' default when ``verify=None``: the session's lint."""
+    return _session.current().lint
 
 
 def analyze_object(obj: ObjectFile, context: Optional[LintContext] = None,

@@ -23,12 +23,6 @@ Boot with a device to make the machine durable::
     system2 = boot(disk=device.reopen())   # recovers; segments persist
 """
 
-from repro.disk.ambient import (
-    CAMPAIGN,
-    attach_kernel,
-    cancel_durable,
-    request_durable,
-)
 from repro.disk.blockdev import BLOCK_SIZE, DEFAULT_BLOCKS, BlockDevice
 from repro.disk.crash import (
     CrashMatrix,
@@ -45,7 +39,6 @@ from repro.disk.mount import DiskStore, RecoveryStats
 __all__ = [
     "BLOCK_SIZE",
     "BlockDevice",
-    "CAMPAIGN",
     "CrashMatrix",
     "CrashPoint",
     "DEFAULT_BLOCKS",
@@ -54,11 +47,8 @@ __all__ = [
     "FsckStats",
     "Journal",
     "RecoveryStats",
-    "attach_kernel",
-    "cancel_durable",
     "fsck",
     "fsck_image",
-    "request_durable",
     "run_crash_matrix",
     "run_crash_point",
     "scan_journal",

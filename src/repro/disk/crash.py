@@ -23,19 +23,14 @@ consistency". This module makes that claim executable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 from repro.disk.blockdev import BlockDevice
 from repro.disk.fsck import fsck
 from repro.errors import SimulationError
-from repro.inject import (
-    FaultKind,
-    FaultPlan,
-    Plane,
-    cancel_injection,
-    request_injection,
-)
+from repro.inject import FaultKind, FaultPlan, Plane
+from repro.session import current
 
 DEFAULT_SEED = 0x1993
 DEFAULT_NBLOCKS = 2048
@@ -183,16 +178,13 @@ def run_crash_point(k: int, seed: int = DEFAULT_SEED,
     plan = FaultPlan(Plane.DISK, FaultKind.CRASH, site="journal-*",
                      after=k - 1, max_faults=1)
     device = BlockDevice(nblocks=nblocks, seed=seed)
-    request_injection([plan], seed=seed)
-    try:
+    with replace(current(), plans=(plan,), inject_seed=seed).run():
         system = boot(disk=device)
         try:
             workload(system.kernel)
         except SimulationError:
             pass  # post-crash op surfaced an error; acceptable
         system.kernel.shutdown()
-    finally:
-        cancel_injection()
     survivor = device.reopen()
     check = fsck(survivor, subject=f"crash@{k}")
     system2 = boot(disk=survivor)

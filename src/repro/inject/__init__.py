@@ -10,27 +10,19 @@ See DESIGN.md §8.
 """
 
 from repro.inject.injector import (
-    CAMPAIGN,
     Injector,
     InjectStats,
-    attach_kernel,
-    cancel_injection,
     install_injector,
     remove_injector,
-    request_injection,
 )
 from repro.inject.plan import FaultKind, FaultPlan, Plane
 
 __all__ = [
-    "CAMPAIGN",
     "FaultKind",
     "FaultPlan",
     "Injector",
     "InjectStats",
     "Plane",
-    "attach_kernel",
-    "cancel_injection",
     "install_injector",
     "remove_injector",
-    "request_injection",
 ]

@@ -1,6 +1,6 @@
 """The injector: seeded, deterministic fault decisions at the planes.
 
-Design constraints, mirroring :mod:`repro.trace`:
+Design constraints, shared with :mod:`repro.trace`:
 
 1. **Zero perturbation when absent.** Every choke point costs one
    ``injector is not None`` attribute check when no injector is
@@ -16,22 +16,22 @@ Design constraints, mirroring :mod:`repro.trace`:
    (``name="plane:kind:site"``, ``value=`` running trigger count), and
    :class:`InjectStats` counts checks/matches/triggers/containments.
 
-Arming, like tracing, is either explicit::
+Arming is either explicit::
 
     injector = install_injector(kernel, [FaultPlan(...)], seed=7)
 
-or ambient for every kernel booted after the request (what the
-``reprochaos`` CLI does)::
+or for every kernel booted inside a run (what ``reprochaos`` does; see
+:mod:`repro.session`)::
 
-    request_injection([FaultPlan(...)], seed=7)
-    system = boot()     # Kernel.__init__ attaches a fresh injector
+    with Session(plans=(FaultPlan(...),), inject_seed=7).run():
+        system = boot()     # this boot gets a fresh injector
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.errors import (
     InjectedDiskFullError,
@@ -126,7 +126,7 @@ class Injector:
         and the per-plan RNG streams must keep counting across the
         reboot, or a capped CRASH plan would re-arm every time its
         victim came back up. Only planes whose plan lists are identical
-        are adopted — a differing list means the ambient campaign
+        are adopted — a differing list means the run's campaign
         changed between the boots, and fresh state is the honest
         interpretation."""
         for plane, states in previous._states.items():
@@ -442,7 +442,7 @@ class Injector:
 
 
 # ----------------------------------------------------------------------
-# explicit and ambient installation
+# explicit installation
 # ----------------------------------------------------------------------
 
 def install_injector(kernel, plans: Sequence[FaultPlan] = (),
@@ -470,35 +470,3 @@ def remove_injector(kernel) -> None:
         disk.device.injector = None
     for proc in kernel.processes.values():
         proc.address_space.injector = None
-
-
-# Armed configuration consumed by every Kernel boot until cancelled
-# (unlike tracing, a soak campaign arms *all* boots, not just the next).
-_PENDING: Optional[dict] = None
-
-#: Injectors created while armed, oldest first — the campaign record.
-CAMPAIGN: List[Injector] = []
-
-
-def request_injection(plans: Iterable[FaultPlan], seed: int = 0) -> None:
-    """Arm injection for every kernel booted until
-    :func:`cancel_injection`; each boot gets a fresh injector with the
-    same plans and seed (so reruns of a script are bit-identical)."""
-    global _PENDING
-    _PENDING = {"plans": tuple(plans), "seed": seed}
-    CAMPAIGN.clear()
-
-
-def cancel_injection() -> None:
-    """Disarm :func:`request_injection` (existing kernels keep theirs)."""
-    global _PENDING
-    _PENDING = None
-
-
-def attach_kernel(kernel) -> None:
-    """Called from ``Kernel.__init__``: honour an armed request."""
-    if _PENDING is None:
-        return
-    CAMPAIGN.append(
-        install_injector(kernel, _PENDING["plans"], _PENDING["seed"])
-    )

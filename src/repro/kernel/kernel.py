@@ -15,9 +15,9 @@ process, exactly as an unhandled SIGSEGV would.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional
 
+from repro import session as _session
 from repro.errors import (
     HardwareError,
     InjectedFaultError,
@@ -28,7 +28,6 @@ from repro.errors import (
 )
 from repro.fs.filesystem import Filesystem
 from repro.fs.vfs import Vfs
-from repro.inject import injector as _inject
 from repro.hw.cpu import ArithmeticTrap, BreakTrap, Cpu, SyscallTrap
 from repro.kernel.ipc import MessageQueueTable
 from repro.kernel.loader import load_executable
@@ -69,13 +68,13 @@ class Kernel:
             {"max_frames": max_frames} if max_frames else {}
         ))
         self.clock = Clock(costs or CostModel())
-        # The simulated CPU count (repro.smp). None consults the
-        # ambient REPRO_CORES so every boot in a process — including
-        # the ones tools like reprorr make internally — runs SMP; the
-        # default stays 1, where self.smp is None and the classic
-        # uniprocessor scheduler runs completely unchanged.
+        # The simulated CPU count (repro.smp). None follows the current
+        # session, so every boot in a run — including the ones tools
+        # like reprorr make internally — runs SMP; the default stays 1,
+        # where self.smp is None and the classic uniprocessor scheduler
+        # runs completely unchanged.
         if ncores is None:
-            ncores = int(os.environ.get("REPRO_CORES", "1") or "1")
+            ncores = _session.current().ncores
         self.ncores = max(1, ncores)
         self.clock.ncores = self.ncores
         self.smp = SmpCoordinator(self, self.ncores) \
@@ -121,46 +120,26 @@ class Kernel:
         # The race/heap sanitizer (repro.sanitize). None keeps every
         # choke point at one attribute check.
         self.sanitizer = None
-        # An armed ambient tracer (reprotrace, REPRO_TRACE=1) binds to
-        # this kernel's clock; otherwise this is a no-op.
-        _trace.attach_kernel(self)
-        # An armed injection campaign (reprochaos) attaches a fresh,
-        # identically seeded injector to every boot.
-        _inject.attach_kernel(self)
-        # An armed recording (reprorr) checkpoints this kernel
-        # periodically via the clock's checkpoint hook. Imported lazily
-        # for the same reason as repro.disk below: repro.rr pulls in
-        # the disk image layer, which imports this module.
-        from repro.rr import recorder as _rr_recorder
-
-        _rr_recorder.attach_kernel(self)
-        # An armed sanitize request (reprosan, REPRO_SAN=1) joins this
-        # kernel to the shared race/heap sanitizer. Imported lazily:
-        # repro.sanitize imports the VM layout and sfs modules.
-        from repro.sanitize import ambient as _san_ambient
-
-        _san_ambient.attach_kernel(self)
+        # The recorder (repro.rr) checkpointing this boot, if any.
+        self.recorder = None
         # The durable store (repro.disk). A blank device is formatted;
         # anything else is recovered — committed journal transactions
         # replayed, the torn tail discarded, the addr↔inode table
         # rebuilt. None keeps the classic all-volatile configuration.
         self.disk = None
         self.recovery = None
+        # The active run (repro.session) arms this boot's planes first,
+        # so a mounted disk already sees the injector during recovery.
+        run = _session.active_run()
+        if run is not None:
+            run.attach(self)
         if disk is not None:
             from repro.disk.mount import DiskStore
 
             self.disk = DiskStore.attach(self, disk)
             self.recovery = self.disk.recovery
-        else:
-            # An armed durable campaign (reprochaos --crash) attaches a
-            # fresh device to every boot, like injection and tracing.
-            # Imported lazily: repro.disk pulls in repro.analyze, which
-            # itself imports this module.
-            from repro.disk import ambient as _disk_ambient
-
-            _disk_ambient.attach_kernel(self)
-            if self.disk is not None:
-                self.recovery = self.disk.recovery
+        elif run is not None:
+            run.mount(self)
 
     def is_public_address(self, address: int) -> bool:
         """Does *address* fall in this machine's public region?

@@ -147,7 +147,7 @@ class Ldl:
         # verify arms the reprolint gate: every module is statically
         # verified *before* it is mapped, and an ERROR finding raises
         # LintError instead of mapping a broken image. None defers to
-        # the REPRO_LINT environment variable. The gate analyzes only
+        # the current session's lint switch. The gate analyzes only
         # metadata/images already held in memory — no syscalls, so it
         # adds zero simulated cycles.
         if verify is None:

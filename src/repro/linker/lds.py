@@ -98,7 +98,8 @@ class Lds:
     """The static linker, bound to one kernel instance.
 
     *verify* arms the post-link reprolint gate for every link; None
-    defers to the ``REPRO_LINT`` environment variable at link time.
+    defers to the current session's ``lint`` (``REPRO_LINT=1``) at
+    link time.
     """
 
     def __init__(self, kernel: Kernel,

@@ -202,6 +202,8 @@ class Cluster:
         else:
             self.ha = HaManager(self, HaConfig())
         self.fabric.ha = self.ha
+        #: the recorder taking cluster checkpoints (None: not recording)
+        self.recorder = None
         self.machines: List[Machine] = []
         for node in range(nnodes):
             args = dict(boot_args)
@@ -238,10 +240,13 @@ class Cluster:
             self.machines.append(machine)
         # An armed recording (reprorr) must checkpoint cluster members
         # at round boundaries — a globally consistent cut — not at
-        # per-kernel clock crossings that land mid-round.
-        from repro.rr import recorder as _rr_recorder
-
-        _rr_recorder.attach_cluster(self, kernel)
+        # per-kernel clock crossings that land mid-round. The first
+        # member's recorder owns the cluster captures, so one crossing
+        # yields one checkpoint, not N.
+        if kernel.recorder is not None:
+            kernel.recorder.attach_cluster(self)
+            if self.recorder is None:
+                self.recorder = kernel.recorder
 
     # ------------------------------------------------------------------
     # the round scheduler
@@ -260,10 +265,9 @@ class Cluster:
             machine.step_round()
         # Round boundary: every due frame delivered, every runnable
         # process sliced — the consistent cut reprorr checkpoints at.
-        from repro.rr import recorder as _rr_recorder
-
-        if _rr_recorder.CAMPAIGN:
-            _rr_recorder.on_cluster_round(self)
+        recorder = self.recorder
+        if recorder is not None and recorder.cluster_due():
+            recorder.take_cluster_checkpoint()
 
     def idle(self) -> bool:
         """Nothing left to do: no wire traffic, no queued datagrams, no

@@ -18,12 +18,12 @@ Layers:
 * :mod:`repro.rr.recording` — the ``.rrr`` container: manifest, final
   per-boot cycle accounting, the full trace-event stream, and the
   checkpoint list, saved byte-stably via :mod:`repro.disk.codec`.
-* :mod:`repro.rr.recorder` — the ambient arming surface
-  (:func:`request_recording` / :func:`cancel_recording`) that
-  ``Kernel.__init__`` and ``Cluster`` consult, mirroring
-  :mod:`repro.trace` and :mod:`repro.inject`.
+* :mod:`repro.rr.recorder` — the per-boot :class:`Recorder` a run
+  whose session sets a checkpoint ``interval`` gives every kernel
+  (see :mod:`repro.session`); ``Cluster`` switches it to round-boundary
+  checkpoints.
 * :mod:`repro.rr.oracle` — record a run, replay it, and report the
-  first divergent event with its cycle.
+  first divergent event with its cycle; the soaks' drift check.
 """
 
 from repro.errors import DivergenceError, RRError
@@ -37,24 +37,21 @@ from repro.rr.checkpoint import (
 from repro.rr.oracle import (
     ReplayReport,
     SeekResult,
+    Soak,
     record_call,
     record_script,
+    recording_session,
     replay_call,
     replay_script,
     seek_call,
     seek_script,
+    soak_call,
+    soak_script,
 )
-from repro.rr.recorder import (
-    CAMPAIGN,
-    Recorder,
-    cancel_recording,
-    recording_active,
-    request_recording,
-)
+from repro.rr.recorder import Recorder
 from repro.rr.recording import Checkpoint, Recording
 
 __all__ = [
-    "CAMPAIGN",
     "Checkpoint",
     "DivergenceError",
     "Recorder",
@@ -62,18 +59,19 @@ __all__ = [
     "ReplayReport",
     "RRError",
     "SeekResult",
-    "cancel_recording",
+    "Soak",
     "capture_cluster",
     "capture_machine",
     "diff_states",
     "materialize",
     "record_call",
     "record_script",
-    "recording_active",
+    "recording_session",
     "replay_call",
     "replay_script",
-    "request_recording",
     "seek_call",
     "seek_script",
+    "soak_call",
+    "soak_script",
     "state_digest",
 ]

@@ -33,6 +33,7 @@ from repro.disk.codec import encode_fields
 from repro.disk.image import restore_volume, serialize_volume
 from repro.errors import RRError
 from repro.kernel.process import ProcessState
+from repro.session import current
 from repro.vm.layout import PAGE_SHIFT, PAGE_SIZE
 
 STATE_MACHINE = "machine"
@@ -262,23 +263,6 @@ def diff_states(recorded: list, replayed: list) -> Optional[str]:
 # materialize
 # ---------------------------------------------------------------------------
 
-def _quiet_ambient():
-    """Pending ambient arming requests (trace/inject/rr) stashed away,
-    so the fresh kernel materialize boots does not consume or trigger
-    them. Returns a restore callable."""
-    from repro.inject import injector as _inject
-    from repro.rr import recorder as _rr
-    from repro.trace import tracer as _trace
-
-    saved = (_trace._PENDING, _inject._PENDING, _rr._PENDING)
-    _trace._PENDING = _inject._PENDING = _rr._PENDING = None
-
-    def restore():
-        _trace._PENDING, _inject._PENDING, _rr._PENDING = saved
-
-    return restore
-
-
 def materialize(state: list, costs=None, lazy: bool = True,
                 scoped: bool = True):
     """A runnable kernel rebuilt from a machine state tree.
@@ -296,7 +280,6 @@ def materialize(state: list, costs=None, lazy: bool = True,
     from repro.kernel.process import Process
     from repro.kernel.signals import Signal
     from repro.runtime.libshared import HemlockRuntime, attach_runtime
-    from repro.trace import tracer as _trace
     from repro.vm.address_space import AddressSpace
     from repro.vm.pages import MemoryObject
 
@@ -326,10 +309,10 @@ def materialize(state: list, costs=None, lazy: bool = True,
                 f"{block_reason!r}; kernel wait objects are not "
                 f"serializable — replay from boot")
 
-    restore_pending = _quiet_ambient()
-    previous_tracer = _trace.TRACER
-    _trace.set_tracer(None)
-    try:
+    # Boot under the current session with every plane off: the
+    # restored kernel must not consume the caller's planes (a tracer
+    # boot, an injector, a durable store, the sanitizer).
+    with current().quiet().run():
         cycles, categories, elapsed, ncores, core_cycles = clock_row
         kernel = Kernel(costs=costs, ncores=ncores)
         attach_runtime(kernel, lazy=lazy, scoped=scoped)
@@ -438,6 +421,3 @@ def materialize(state: list, costs=None, lazy: bool = True,
                 proc.fds[fd] = restored_handles[slot]
             kernel.processes[pid] = proc
         return kernel
-    finally:
-        _trace.set_tracer(previous_tracer)
-        restore_pending()

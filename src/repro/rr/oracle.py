@@ -3,50 +3,54 @@
 The oracle's contract: a replay armed with a recording's manifest must
 reproduce the original run *bit-for-bit* — the same trace events at
 the same cycles, the same per-category cycle totals per boot, the same
-checkpoint digests, the same outcome. Any mismatch is nondeterminism
-in the substrate (kernel, vm, disk, net, or inject plane) and is
-reported as the first divergent event with its cycle, which is exactly
-the information a bisection needs.
+checkpoint digests, the same outcome, the same stdout. Any mismatch is
+nondeterminism in the substrate (kernel, vm, disk, net, or inject
+plane) or in the workload itself, and is reported as the first
+divergent event with its cycle, which is exactly the information a
+bisection needs. It is the only drift check: every soak
+(``reprochaos``, ``repronet soak``, ``reprosan soak``) records once
+and replays once through :func:`soak_script` / :func:`soak_call`.
 
 Two entry styles:
 
 * ``*_script`` — the CLI path: the workload is a Python script run
-  under ``runpy`` with a swapped ``argv``, mirroring ``reprochaos``;
+  under ``runpy`` with a swapped ``argv`` and the recorded script
+  inputs (``REPRO_CLUSTER``, ``REPRO_HA``, ``REPRO_HOSTS``);
 * ``*_call`` — the test path: the workload is a callable, so suites
   can record inline workloads without touching the filesystem.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
-import os
+import hashlib
 import runpy
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import RRError
 from repro.rr.checkpoint import diff_states, state_digest
+from repro.rr.recorder import DEFAULT_INTERVAL
 from repro.rr.recording import (
     RECORD_CAPACITY,
     Checkpoint,
     Recording,
-    encode_plan,
     pack_event,
 )
-
-#: Trace kinds armed by default while recording: everything, so the
-#: oracle sees faults, links, maps, messages, net frames, and disk
-#: traffic alike.
-DEFAULT_KINDS = None
+from repro.session import (
+    Outcome,
+    Session,
+    applied_inputs,
+    current,
+    script_inputs,
+)
 
 
 @dataclass
 class Divergence:
     """Where a replay first disagreed with its recording."""
 
-    what: str            # event | event-count | cycles | checkpoint | outcome
+    what: str  # event | event-count | cycles | checkpoint | outcome | output
     index: int           # event index / boot index / checkpoint index
     cycle: int           # simulated cycle of the divergence (-1: n/a)
     recorded: object
@@ -117,115 +121,80 @@ class SeekResult:
 # one armed run
 # ---------------------------------------------------------------------------
 
-def _capture_env() -> dict:
-    return {key: value for key, value in os.environ.items()
-            if key.startswith("REPRO_")}
-
-
-@contextlib.contextmanager
-def _applied_env(env: dict):
-    """The recorded ``REPRO_*`` environment, exactly: recorded keys
-    set, extraneous ones removed, everything restored after."""
-    saved = _capture_env()
-    for key in saved:
-        if key not in env:
-            del os.environ[key]
-    os.environ.update(env)
-    try:
-        yield
-    finally:
-        for key in _capture_env():
-            if key not in saved:
-                del os.environ[key]
-        os.environ.update(saved)
-
-
-def _run_once(runner: Callable[[], None], manifest: dict) -> dict:
-    """Execute *runner* with the manifest's arming; returns the
-    observed run (outcome, events, boots, checkpoints, topology)."""
-    from repro.inject.injector import cancel_injection, request_injection
-    from repro.rr import recorder as _rr
-    from repro.rr.recording import decode_plan
-    from repro.trace import tracer as _trace
-    from repro.trace.tracer import cancel_tracing, request_tracing
-
-    plans = [decode_plan(row) for row in manifest.get("plans", [])]
-    if plans:
-        request_injection(plans, seed=manifest.get("inject_seed") or 0)
-    request_tracing(kinds=manifest.get("kinds"),
-                    capacity=manifest.get("capacity", RECORD_CAPACITY))
-    _rr.request_recording(interval=manifest.get("interval"))
-    outcome, detail, captured = "clean", "", io.StringIO()
-    try:
-        with _applied_env(manifest.get("env", {})):
-            try:
-                with contextlib.redirect_stdout(captured):
-                    runner()
-            except SystemExit as status:
-                if status.code not in (None, 0):
-                    outcome = "workload-failure"
-                    detail = f"exit status {status.code}"
-            except (SimulationError, AssertionError) as error:
-                outcome = "workload-failure"
-                detail = f"{type(error).__name__}: {error}"
-            except Exception as error:  # noqa: BLE001 - oracle duty
-                outcome = "kernel-death"
-                detail = f"{type(error).__name__}: {error}"
-    finally:
-        tracer = _trace.TRACER
-        events = [pack_event(event) for event in tracer.events()] \
-            if tracer.enabled else []
-        emitted = tracer.emitted if tracer.enabled else 0
-        dropped = tracer.dropped if tracer.enabled else 0
-        boots = []
-        checkpoints = []
-        nodes, net_seed = 0, None
-        for recorder in _rr.CAMPAIGN:
-            clock = recorder.kernel.clock
-            boots.append((clock.cycles,
-                          [[name, clock.by_category[name]]
-                           for name in sorted(clock.by_category)]))
-            for state, cycle, cursor, boot in recorder.checkpoints:
-                checkpoints.append(Checkpoint(
-                    boot=boot, cycle=cycle, cursor=cursor,
-                    digest=state_digest(state), state=state))
-            if recorder.cluster is not None:
-                nodes = max(nodes, recorder.cluster.nnodes)
-                net_seed = recorder.cluster.seed
-        checkpoints.sort(key=lambda cp: (cp.boot, cp.cycle))
-        _rr.cancel_recording()
-        if plans:
-            cancel_injection()
-        cancel_tracing()
+def _observe(outcome: Outcome) -> dict:
+    """What the oracle compares of one executed run: outcome, stdout
+    digest, events, per-boot cycles, checkpoints, topology."""
+    run = outcome.run
+    tracer = run.tracer
+    boots = []
+    checkpoints = []
+    nodes, net_seed = 0, None
+    for recorder in run.recorders:
+        clock = recorder.kernel.clock
+        boots.append((clock.cycles,
+                      [[name, clock.by_category[name]]
+                       for name in sorted(clock.by_category)]))
+        for state, cycle, cursor, boot in recorder.checkpoints:
+            checkpoints.append(Checkpoint(
+                boot=boot, cycle=cycle, cursor=cursor,
+                digest=state_digest(state), state=state))
+        if recorder.cluster is not None:
+            nodes = max(nodes, recorder.cluster.nnodes)
+            net_seed = recorder.cluster.seed
+    checkpoints.sort(key=lambda cp: (cp.boot, cp.cycle))
     return {
-        "outcome": outcome, "detail": detail, "output":
-        captured.getvalue(), "events": events, "emitted": emitted,
-        "dropped": dropped, "boots": boots, "checkpoints": checkpoints,
+        "outcome": outcome.status, "detail": outcome.detail,
+        "output": hashlib.sha256(outcome.output.encode()).digest(),
+        "events": [pack_event(event) for event in tracer.events()]
+        if tracer is not None else [],
+        "emitted": tracer.emitted if tracer is not None else 0,
+        "dropped": tracer.dropped if tracer is not None else 0,
+        "boots": boots, "checkpoints": checkpoints,
         "nodes": nodes, "net_seed": net_seed,
     }
 
 
-def _script_runner(script: str, argv: Sequence[str]):
+def script_runner(script: str, argv: Sequence[str] = (),
+                  inputs: Optional[Mapping[str, str]] = None):
+    """A callable running *script* as ``__main__`` with *argv* and,
+    when given, exactly *inputs* as its script inputs."""
     def run() -> None:
         saved_argv = sys.argv
         sys.argv = [script] + list(argv)
         try:
-            runpy.run_path(script, run_name="__main__")
+            with applied_inputs(script_inputs()
+                                if inputs is None else inputs):
+                runpy.run_path(script, run_name="__main__")
         finally:
             sys.argv = saved_argv
     return run
+
+
+def recording_session(session: Optional[Session] = None,
+                      interval: Optional[int] = None,
+                      **fields) -> Session:
+    """*session* (default: the current one) armed for recording: every
+    event kind traced into a :data:`RECORD_CAPACITY` ring and a
+    checkpoint every *interval* cycles (None: the default interval; 0:
+    no checkpoints). *fields* replace any other session field."""
+    base = session if session is not None else current()
+    return replace(base, **{
+        "trace_kinds": None, "trace_capacity": RECORD_CAPACITY,
+        "interval": DEFAULT_INTERVAL if interval is None else interval,
+        **fields})
 
 
 # ---------------------------------------------------------------------------
 # record
 # ---------------------------------------------------------------------------
 
-def _record(runner: Callable[[], None], manifest: dict) -> Recording:
-    observed = _run_once(runner, manifest)
-    manifest = dict(manifest)
-    manifest["nodes"] = observed["nodes"]
-    manifest["net_seed"] = observed["net_seed"]
-    return Recording(
+def _record(runner: Callable[[], None],
+            manifest: dict) -> Tuple[Recording, Outcome]:
+    outcome = manifest["session"].execute(runner)
+    observed = _observe(outcome)
+    manifest = dict(manifest, nodes=observed["nodes"],
+                    net_seed=observed["net_seed"])
+    recording = Recording(
         manifest=manifest,
         boots=observed["boots"],
         events=observed["events"],
@@ -233,53 +202,42 @@ def _record(runner: Callable[[], None], manifest: dict) -> Recording:
         emitted=observed["emitted"],
         dropped=observed["dropped"],
         outcome=observed["outcome"],
+        output=observed["output"],
     )
+    return recording, outcome
 
 
-def _build_manifest(script, argv, interval, plans, inject_seed,
-                    kinds, capacity) -> dict:
-    return {
-        "script": script,
-        "argv": list(argv),
-        "env": _capture_env(),
-        "plans": [encode_plan(plan) for plan in plans],
-        "inject_seed": inject_seed,
-        "nodes": 0,
-        "net_seed": None,
-        "interval": interval,
-        "kinds": list(kinds) if kinds is not None else None,
-        "capacity": capacity,
-    }
+def _script_manifest(script: str, argv: Sequence[str],
+                     session: Session,
+                     inputs: Optional[Mapping[str, str]]) -> dict:
+    return {"script": script, "argv": list(argv),
+            "env": dict(script_inputs() if inputs is None else inputs),
+            "session": session}
 
 
 def record_script(script: str, argv: Sequence[str] = (), *,
+                  session: Optional[Session] = None,
+                  inputs: Optional[Mapping[str, str]] = None,
                   interval: Optional[int] = None,
-                  plans: Sequence = (), inject_seed: int = 0,
-                  kinds=DEFAULT_KINDS,
-                  capacity: int = RECORD_CAPACITY) -> Recording:
-    """Record one run of *script* (the ``reprorr record`` path)."""
-    from repro.rr.recorder import DEFAULT_INTERVAL
-
-    manifest = _build_manifest(script, argv,
-                               DEFAULT_INTERVAL if interval is None
-                               else interval,
-                               plans, inject_seed, kinds, capacity)
-    return _record(_script_runner(script, argv), manifest)
+                  **fields) -> Recording:
+    """Record one run of *script* (the ``reprorr record`` path).
+    *inputs* are the script inputs to run it with (default: the ones
+    in the environment); the other arguments build the session as in
+    :func:`recording_session`."""
+    session = recording_session(session, interval, **fields)
+    manifest = _script_manifest(script, argv, session, inputs)
+    return _record(script_runner(script, argv, manifest["env"]),
+                   manifest)[0]
 
 
 def record_call(workload: Callable[[], None], *,
+                session: Optional[Session] = None,
                 interval: Optional[int] = None,
-                plans: Sequence = (), inject_seed: int = 0,
-                kinds=DEFAULT_KINDS,
-                capacity: int = RECORD_CAPACITY) -> Recording:
+                **fields) -> Recording:
     """Record one run of an inline *workload* callable."""
-    from repro.rr.recorder import DEFAULT_INTERVAL
-
-    manifest = _build_manifest(None, (),
-                               DEFAULT_INTERVAL if interval is None
-                               else interval,
-                               plans, inject_seed, kinds, capacity)
-    return _record(workload, manifest)
+    session = recording_session(session, interval, **fields)
+    return _record(workload, {"script": None, "argv": [], "env": {},
+                              "session": session})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +315,14 @@ def _compare(recording: Recording, observed: dict) -> ReplayReport:
             "outcome", 0, -1, recording.outcome, observed["outcome"],
             detail=observed["detail"]),
             events_compared=len(recorded_events))
+    if recording.output != observed["output"]:
+        return ReplayReport(Divergence(
+            "output", 0, -1, recording.output.hex()[:16],
+            observed["output"].hex()[:16],
+            detail="the run printed different stdout (sha256 prefixes)"),
+            events_compared=len(recorded_events),
+            boots_compared=len(recording.boots),
+            checkpoints_compared=len(recording.checkpoints))
     return ReplayReport(None,
                         events_compared=len(recorded_events),
                         boots_compared=len(recording.boots),
@@ -364,23 +330,66 @@ def _compare(recording: Recording, observed: dict) -> ReplayReport:
                         outcome=observed["outcome"])
 
 
+def _replay_runner(recording: Recording,
+                   script: Optional[str]) -> Callable[[], None]:
+    target = script or recording.manifest.get("script")
+    if not target:
+        raise RRError("recording has no script; use the *_call form")
+    return script_runner(target, recording.manifest.get("argv", []),
+                          recording.manifest.get("env", {}))
+
+
+def _replay(recording: Recording, runner: Callable[[], None]) -> dict:
+    return _observe(recording.session.execute(runner))
+
+
 def replay_script(recording: Recording,
                   script: Optional[str] = None) -> ReplayReport:
     """Replay a script recording and report the first divergence."""
-    from repro.errors import RRError
-
-    target = script or recording.manifest.get("script")
-    if not target:
-        raise RRError("recording has no script; use replay_call")
-    runner = _script_runner(target,
-                            recording.manifest.get("argv", []))
-    return _compare(recording, _run_once(runner, recording.manifest))
+    return _compare(recording,
+                    _replay(recording, _replay_runner(recording, script)))
 
 
 def replay_call(recording: Recording,
                 workload: Callable[[], None]) -> ReplayReport:
     """Replay a call recording against the same workload callable."""
-    return _compare(recording, _run_once(workload, recording.manifest))
+    return _compare(recording, _replay(recording, workload))
+
+
+# ---------------------------------------------------------------------------
+# soak: record once, replay once
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Soak:
+    """One drift check: a recorded run and the verdict on its replay."""
+
+    recording: Recording
+    outcome: Outcome        # the recorded run (its run's injectors etc.)
+    report: ReplayReport
+
+    @property
+    def ok(self) -> bool:
+        return self.report.ok and self.outcome.status != "kernel-death"
+
+
+def _soak(runner: Callable[[], None], manifest: dict) -> Soak:
+    recording, outcome = _record(runner, manifest)
+    return Soak(recording, outcome,
+                _compare(recording, _replay(recording, runner)))
+
+
+def soak_script(script: str, session: Session,
+                inputs: Optional[Mapping[str, str]] = None) -> Soak:
+    """Record *script* under *session*, replay it, and compare."""
+    manifest = _script_manifest(script, (), session, inputs)
+    return _soak(script_runner(script, (), manifest["env"]), manifest)
+
+
+def soak_call(workload: Callable[[], None], session: Session) -> Soak:
+    """Record *workload* under *session*, replay it, and compare."""
+    return _soak(workload, {"script": None, "argv": [], "env": {},
+                            "session": session})
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +430,10 @@ def seek_script(recording: Recording, cycle: int,
     from boot (deterministically equivalent to restoring the
     checkpoint); :func:`repro.rr.checkpoint.materialize` is the true
     state-restore fast path for machine-pure workloads."""
-    from repro.errors import RRError
-
-    target = script or recording.manifest.get("script")
-    if not target:
-        raise RRError("recording has no script; use seek_call")
-    runner = _script_runner(target,
-                            recording.manifest.get("argv", []))
     return _seek(recording, cycle,
-                 _run_once(runner, recording.manifest))
+                 _replay(recording, _replay_runner(recording, script)))
 
 
 def seek_call(recording: Recording, cycle: int,
               workload: Callable[[], None]) -> SeekResult:
-    return _seek(recording, cycle, _run_once(workload,
-                                             recording.manifest))
+    return _seek(recording, cycle, _replay(recording, workload))

@@ -1,20 +1,17 @@
-"""Ambient recording: the arming surface ``reprorr`` uses.
+"""The per-boot recorder ``reprorr`` arms through a session.
 
-Mirrors the :mod:`repro.trace` / :mod:`repro.inject` pattern exactly:
-:func:`request_recording` arms a pending configuration,
-``Kernel.__init__`` consumes it by calling :func:`attach_kernel` (one
-:class:`Recorder` per boot, collected in :data:`CAMPAIGN`), and
-:func:`cancel_recording` disarms. ``Cluster`` additionally calls
-:func:`attach_cluster` per member and :func:`on_cluster_round` per
-scheduler round, so clustered machines checkpoint at round boundaries
-— a globally consistent cut — instead of mid-round per-kernel clock
-crossings.
+A run whose session sets ``interval`` (see :mod:`repro.session`) gives
+every boot a :class:`Recorder`, kept on ``kernel.recorder`` and in the
+run's ``recorders`` list. A single machine checkpoints when its clock
+crosses the interval; a :class:`~repro.net.Cluster` member switches to
+round-boundary checkpoints instead (a globally consistent cut), and
+the cluster's lead recorder takes one capture of the whole cluster.
 
-Pay-for-use: with nothing armed, the only costs are one ``is None``
-check per boot, one integer comparison per :meth:`Clock.charge
-<repro.kernel.timing.Clock.charge>`, and one empty-list check per
-cluster round. A fault-free plain boot stays pinned at its recorded
-cycle total with recording off (the E11 benchmark asserts this).
+Pay-for-use: with nothing armed, the only costs are one integer
+comparison per :meth:`Clock.charge <repro.kernel.timing.Clock.charge>`
+and one ``is None`` check per cluster round. A fault-free plain boot
+stays pinned at its recorded cycle total with recording off (the E11
+benchmark asserts this).
 """
 
 from __future__ import annotations
@@ -25,12 +22,6 @@ from repro.kernel.timing import CHECKPOINT_NEVER
 
 #: Default cycles between checkpoints when recording is armed.
 DEFAULT_INTERVAL = 1_000_000
-
-# Configuration captured by request_recording(), consumed per boot.
-_PENDING: Optional[dict] = None
-
-#: One Recorder per kernel booted while armed (attach order).
-CAMPAIGN: List["Recorder"] = []
 
 
 class Recorder:
@@ -94,51 +85,3 @@ class Recorder:
         cursor = tracer.cursor() if tracer.enabled else 0
         boot = tracer.boot_index if tracer.enabled else 0
         self.checkpoints.append((state, cycle, cursor, boot))
-
-
-def recording_active() -> bool:
-    """Is a recording request currently armed?"""
-    return _PENDING is not None
-
-
-def request_recording(interval: Optional[int] = DEFAULT_INTERVAL) -> None:
-    """Arm recording for every kernel booted until
-    :func:`cancel_recording`. *interval* is the cycle spacing between
-    checkpoints (None or 0 records the manifest and trace only)."""
-    global _PENDING
-    _PENDING = {"interval": interval}
-    CAMPAIGN.clear()
-
-
-def cancel_recording() -> None:
-    """Disarm :func:`request_recording` (campaign data survives for
-    the caller to package into a Recording)."""
-    global _PENDING
-    _PENDING = None
-
-
-def attach_kernel(kernel) -> None:
-    """Called from ``Kernel.__init__``: honour an armed request."""
-    if _PENDING is None:
-        return
-    CAMPAIGN.append(Recorder(kernel, _PENDING["interval"]))
-
-
-def attach_cluster(cluster, kernel) -> None:
-    """Called from ``Cluster._attach`` for each member kernel: switch
-    its recorder (if any) to round-boundary checkpointing."""
-    for recorder in CAMPAIGN:
-        if recorder.kernel is kernel:
-            recorder.attach_cluster(cluster)
-
-
-def on_cluster_round(cluster) -> None:
-    """Called from ``Cluster.step`` after the per-machine slices: take
-    one cluster-wide checkpoint when the lead member's clock crosses
-    its interval. Node 0's recorder owns the cluster capture so one
-    crossing yields one checkpoint, not N."""
-    for recorder in CAMPAIGN:
-        if recorder.cluster is cluster:
-            if recorder.cluster_due():
-                recorder.take_cluster_checkpoint()
-            return

@@ -3,10 +3,12 @@
 A recording is everything needed to re-create a run bit-for-bit and to
 check that the re-creation *was* bit-for-bit:
 
-* **manifest** — the run's inputs: script path and argv, the
-  ``REPRO_*`` environment, the armed fault plans and injection seed,
-  the observed cluster topology, the checkpoint interval, and the
-  tracer configuration;
+* **manifest** — the run's inputs: script path and argv, the script
+  inputs the examples read (``REPRO_CLUSTER``, ``REPRO_HA``,
+  ``REPRO_HOSTS``), the serialised :class:`~repro.session.Session`
+  (fault plans and seed, checkpoint interval, tracer configuration,
+  sanitizer, durable store, cores, lint, TLB), and the observed cluster
+  topology;
 * **boots** — one record per kernel booted during the run (chaos
   crash/recovery cycles boot several), with final total cycles and the
   sorted per-category breakdown;
@@ -14,7 +16,8 @@ check that the re-creation *was* bit-for-bit:
   field tuples (the divergence oracle's primary evidence);
 * **checkpoints** — periodic full-machine state trees from
   :mod:`repro.rr.checkpoint`, each with its cycle, tracer cursor, and
-  content digest.
+  content digest;
+* **output** — a SHA-256 of everything the run printed to stdout.
 
 The on-disk format mirrors :meth:`repro.disk.BlockDevice.save`: a
 magic header, then the zlib-compressed TLV encoding of the payload
@@ -29,9 +32,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.disk.codec import decode_fields, encode_fields
 from repro.errors import DiskFormatError, RRError
-from repro.inject.plan import FaultKind, FaultPlan, Plane
+from repro.session import Session
 
-RECORDING_VERSION = 1
+RECORDING_VERSION = 2
 _MAGIC = b"HMLKRRR1"
 
 #: Default ring capacity while recording: large enough that the full
@@ -44,27 +47,6 @@ def pack_event(event) -> list:
     matching :meth:`repro.trace.events.Event.to_dict`)."""
     return [int(event.kind), event.cycle, event.pid, event.addr,
             event.name, event.value, event.dur, event.boot]
-
-
-def encode_plan(plan: FaultPlan) -> list:
-    """A fault plan as constructor fields (floats go through ``repr``
-    — the codec is int/str/bytes only and ``repr`` round-trips)."""
-    return [plan.plane.value, plan.kind.value, plan.match, plan.site,
-            plan.pid, repr(plan.probability), plan.max_faults,
-            plan.after, plan.errno, int(plan.transient)]
-
-
-def decode_plan(record: list) -> FaultPlan:
-    try:
-        (plane, kind, match, site, pid, probability, max_faults, after,
-         errno, transient) = record
-        return FaultPlan(plane=Plane.parse(plane), kind=FaultKind(kind),
-                         match=match, site=site, pid=pid,
-                         probability=float(probability),
-                         max_faults=max_faults, after=after, errno=errno,
-                         transient=bool(transient))
-    except (ValueError, TypeError, KeyError) as error:
-        raise RRError(f"malformed fault plan in recording: {error}")
 
 
 @dataclass
@@ -102,17 +84,11 @@ class Recording:
     emitted: int = 0    # total events accepted by the tracer
     dropped: int = 0    # events lost to ring overflow (0 normally)
     outcome: str = ""   # clean | workload-failure | kernel-death
-
-    # -- manifest conveniences -------------------------------------------
-
-    @property
-    def plans(self) -> List[FaultPlan]:
-        return [decode_plan(row) for row in
-                self.manifest.get("plans", [])]
+    output: bytes = b""  # sha256 of the run's captured stdout
 
     @property
-    def interval(self) -> Optional[int]:
-        return self.manifest.get("interval")
+    def session(self) -> Session:
+        return self.manifest.get("session") or Session()
 
     def nearest_checkpoint(self, cycle: int) -> Optional[Checkpoint]:
         """The latest checkpoint at or before *cycle* (in the last
@@ -135,14 +111,9 @@ class Recording:
                 list(manifest.get("argv", [])),
                 [[key, value] for key, value
                  in sorted(manifest.get("env", {}).items())],
-                [list(row) for row in manifest.get("plans", [])],
-                manifest.get("inject_seed"),
+                self.session.to_fields(),
                 manifest.get("nodes", 0),
                 manifest.get("net_seed"),
-                manifest.get("interval"),
-                (None if manifest.get("kinds") is None
-                 else [str(kind) for kind in manifest["kinds"]]),
-                manifest.get("capacity", RECORD_CAPACITY),
             ],
             [[cycles, categories] for cycles, categories in self.boots],
             self.events,
@@ -150,6 +121,7 @@ class Recording:
             self.emitted,
             self.dropped,
             self.outcome,
+            self.output,
         ])
         return _MAGIC + zlib.compress(payload, level=6)
 
@@ -160,26 +132,27 @@ class Recording:
         try:
             payload = zlib.decompress(blob[len(_MAGIC):])
             fields = decode_fields(payload)
-            (version, manifest_row, boots, events, checkpoints, emitted,
-             dropped, outcome) = fields
-            (script, argv, env, plans, inject_seed, nodes, net_seed,
-             interval, kinds, capacity) = manifest_row
         except (zlib.error, DiskFormatError, ValueError) as error:
             raise RRError(f"undecodable recording: {error}")
+        version = fields[0] if fields else None
         if version != RECORDING_VERSION:
-            raise RRError(f"unsupported recording version {version}")
-        recording = cls(
+            raise RRError(f"unsupported recording version {version} "
+                          f"(this build reads version "
+                          f"{RECORDING_VERSION}); record the run again")
+        try:
+            (_version, manifest_row, boots, events, checkpoints, emitted,
+             dropped, outcome, output) = fields
+            script, argv, env, session, nodes, net_seed = manifest_row
+        except (ValueError, TypeError) as error:
+            raise RRError(f"undecodable recording: {error}")
+        return cls(
             manifest={
                 "script": script,
                 "argv": list(argv),
                 "env": {key: value for key, value in env},
-                "plans": plans,
-                "inject_seed": inject_seed,
+                "session": Session.from_fields(session),
                 "nodes": nodes,
                 "net_seed": net_seed,
-                "interval": interval,
-                "kinds": kinds,
-                "capacity": capacity,
             },
             boots=[(cycles, categories) for cycles, categories in boots],
             events=events,
@@ -188,8 +161,8 @@ class Recording:
             emitted=emitted,
             dropped=dropped,
             outcome=outcome,
+            output=output,
         )
-        return recording
 
     def save(self, path: str) -> None:
         with open(path, "wb") as handle:
@@ -203,16 +176,17 @@ class Recording:
     def describe(self) -> str:
         """Human-readable summary (the ``reprorr info`` output)."""
         manifest = self.manifest
+        session = self.session
         lines = [
             f"script:      {manifest.get('script') or '<call>'}",
             f"argv:        {' '.join(manifest.get('argv', [])) or '-'}",
-            f"plans:       {len(manifest.get('plans', []))} "
-            f"(seed {manifest.get('inject_seed')})",
+            f"plans:       {len(session.plans)} "
+            f"(seed {session.inject_seed})",
             f"cluster:     "
             f"{manifest.get('nodes') or 0} node(s)"
             + (f", seed {manifest.get('net_seed')}"
                if manifest.get("net_seed") is not None else ""),
-            f"interval:    {manifest.get('interval') or 'off'}",
+            f"interval:    {session.interval or 'off'}",
             f"boots:       {len(self.boots)}",
             f"events:      {len(self.events)} retained "
             f"({self.emitted} emitted, {self.dropped} dropped)",

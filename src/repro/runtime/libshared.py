@@ -448,7 +448,7 @@ def attach_runtime(kernel: Kernel, lazy: bool = True,
     """Register the runtime with *kernel* so every exec'd machine
     program gets crt0/ldl behaviour automatically.
 
-    *verify* arms ldl's reprolint gate (None = the REPRO_LINT env)."""
+    *verify* arms ldl's reprolint gate (None = the session's lint)."""
 
     def on_exec(proc: Process, image: ObjectFile) -> None:
         runtime = HemlockRuntime(kernel, proc, lazy=lazy, scoped=scoped,

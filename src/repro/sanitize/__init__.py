@@ -6,29 +6,20 @@ VM load/store choke points, plus a shmalloc heap sanitizer (redzones,
 use-after-free, double-free, leaks at segment close). The static half
 lives in :mod:`repro.analyze.sanitize` (the ``SAN*`` reprolint family).
 
-Typical use::
+Typical use: every kernel booted inside a run whose session sets
+``sanitize_limit`` joins the run's one sanitizer (see
+:mod:`repro.session`)::
 
-    from repro.sanitize import request_sanitize, cancel_sanitize
+    with Session(sanitize_limit=256).run() as run:
+        kernel = repro.boot().kernel     # joins run.sanitizer
+        ...                              # run the workload
+    print(run.sanitizer.report.render())
 
-    sanitizer = request_sanitize()
-    try:
-        kernel = repro.boot()        # joins the armed sanitizer
-        ...                          # run the workload
-    finally:
-        cancel_sanitize()
-    print(sanitizer.report.render())
-
-or, per-kernel: ``install_sanitizer(kernel)``. ``repro.boot(sanitize=
-True)`` arms ambiently for that boot. Reports are deterministic per
-seed, and the sanitizer never charges the simulated clock.
+or, per-kernel: ``install_sanitizer(kernel)`` (what ``repro.boot(
+sanitize=True)`` does). Reports are deterministic per seed, and the
+sanitizer never charges the simulated clock.
 """
 
-from repro.sanitize.ambient import (
-    attach_kernel,
-    cancel_sanitize,
-    request_sanitize,
-    sanitizing_active,
-)
 from repro.sanitize.report import (
     AccessSite,
     HeapFinding,
@@ -59,12 +50,8 @@ __all__ = [
     "Sanitizer",
     "ThreadState",
     "WordState",
-    "attach_kernel",
-    "cancel_sanitize",
     "happens_before",
     "install_sanitizer",
-    "request_sanitize",
-    "sanitizing_active",
     "uninstall_sanitizer",
     "vc_join",
 ]

@@ -33,13 +33,13 @@ bit-identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
 
 from repro.runtime.shmalloc import DoubleFreeError, SegmentHeap
 from repro.runtime.views import Mem
-from repro.sanitize.ambient import cancel_sanitize, request_sanitize
 from repro.sanitize.report import SanReport
+from repro.session import current
 
 SEG = "/shared/san.seg"
 SEG_SIZE = 4096
@@ -57,12 +57,10 @@ class SanCase:
 
     def run(self, report_limit: int = 256) -> SanReport:
         """Arm a fresh sanitizer, run the workload, return its report."""
-        sanitizer = request_sanitize(report_limit=report_limit)
-        try:
+        session = replace(current(), sanitize_limit=report_limit)
+        with session.run() as run:
             self.body()
-        finally:
-            cancel_sanitize()
-        return sanitizer.report
+        return run.sanitizer.report
 
 
 def san_cases() -> List[SanCase]:

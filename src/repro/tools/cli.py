@@ -33,10 +33,11 @@ Two tools run on the *host* instead of inside the simulation:
   hot-spot report. Also installed as the ``reprotrace`` console script.
 * :func:`reprochaos_main` — ``reprochaos [--seed N] [--runs N]
   [--planes P,P] [--rate F] script.py...`` soaks host scripts under
-  :mod:`repro.inject` fault planes: each seeded configuration runs
-  twice and the two ``INJECT`` event streams must be bit-identical
-  (replay drift fails the campaign), and no injected fault may escape
-  the simulation as a host-level crash (kernel death fails it too).
+  :mod:`repro.inject` fault planes: each seeded configuration is
+  recorded once and replayed once through the :mod:`repro.rr` oracle
+  (any divergence fails the campaign), and no injected fault may
+  escape the simulation as a host-level crash (kernel death fails it
+  too).
   ``reprochaos --crash [--stride N] [--max-points N] [--nblocks N]
   script.py...`` instead mounts a durable :mod:`repro.disk` store
   under every kernel the script boots and runs the script once per
@@ -48,7 +49,7 @@ Two tools run on the *host* instead of inside the simulation:
   inspects the deterministic cluster topology, runs the rwho scale
   scenario over a :class:`repro.net.Cluster` with full traffic/cycle
   accounting, or soaks the cluster under NET-plane faults with the
-  same twice-run replay-drift discipline as ``reprochaos``. A
+  same record/replay drift check as ``reprochaos``. A
   ``reprochaos --net [--nodes N]`` campaign composes both: NET plans
   join the plane mix and ``REPRO_CLUSTER=N`` makes cluster-aware
   scripts boot a cluster.
@@ -60,17 +61,19 @@ Two tools run on the *host* instead of inside the simulation:
   :mod:`repro.sanitize` race detector and heap sanitizer: render the
   deterministic report for a seeded corpus case (``run CASE``, with
   ``--replay`` seeking an rr recording to the first racing access
-  pair), replay the whole corpus twice asserting byte-identical
-  reports (``soak``), or run every example armed expecting zero
+  pair), record and replay the whole corpus requiring zero divergence
+  (``soak``), or run every example armed expecting zero
   findings (``sweep``). Also installed as the ``reprosan`` console
   script.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
-import runpy
 import sys
+from dataclasses import replace
 from typing import List, Optional, Sequence, TextIO
 
 from repro.errors import LinkError, SimulationError
@@ -83,6 +86,23 @@ from repro.linker.lds import Lds, LinkRequest, LinkResult, load_template, \
 from repro.objfile.archive import Archive
 from repro.objfile.format import ObjectFile
 from repro.objfile.inspect import nm, objdump
+from repro.rr.oracle import (
+    record_call,
+    record_script,
+    recording_session,
+    replay_script,
+    script_runner,
+    seek_call,
+    seek_script,
+    soak_call,
+    soak_script,
+)
+from repro.session import (
+    DEFAULT_REPORT_LIMIT,
+    active_run,
+    current,
+    script_inputs,
+)
 from repro.toyc import compile_source
 
 _CLASS_FLAGS = {
@@ -360,9 +380,7 @@ def reprotrace_main(argv: Sequence[str],
     or https://ui.perfetto.dev), and a top-N report is printed.
     Exports are deterministic: identical runs produce identical bytes.
     """
-    from repro.trace import tracer as trace_state
     from repro.trace.events import EventKind
-    from repro.trace.tracer import cancel_tracing, request_tracing
 
     out = stdout if stdout is not None else sys.stdout
     outdir = "."
@@ -412,38 +430,30 @@ def reprotrace_main(argv: Sequence[str],
     if not os.path.isfile(script):
         raise UsageError(f"reprotrace: no such script: {script}")
 
-    request_tracing(kinds=kinds, capacity=capacity)
-    saved_argv = sys.argv
-    sys.argv = [script] + list(script_args)
-    try:
-        runpy.run_path(script, run_name="__main__")
-        tracer = trace_state.TRACER
-        if not tracer.enabled:
-            print(f"reprotrace: {script} never booted a kernel; "
-                  f"no events recorded", file=out)
-            return 1
-        from repro.trace.export import (
-            top_report,
-            write_chrome,
-            write_jsonl,
-        )
+    session = replace(current(), trace_kinds=kinds,
+                      trace_capacity=capacity)
+    with session.run() as run:
+        script_runner(script, script_args)()
+    tracer = run.tracer
+    if tracer is None:
+        print(f"reprotrace: {script} never booted a kernel; "
+              f"no events recorded", file=out)
+        return 1
+    from repro.trace.export import top_report, write_chrome, write_jsonl
 
-        os.makedirs(outdir, exist_ok=True)
-        stem = os.path.splitext(os.path.basename(script))[0]
-        jsonl_path = os.path.join(outdir, f"{stem}.trace.jsonl")
-        chrome_path = os.path.join(outdir, f"{stem}.chrome.json")
-        events = tracer.events()
-        write_jsonl(events, jsonl_path)
-        write_chrome(events, chrome_path)
-        print(file=out)
-        print(top_report(tracer, top=top), file=out)
-        print(f"\nwrote {len(events)} events to {jsonl_path}", file=out)
-        print(f"wrote chrome trace to {chrome_path} "
-              f"(open in chrome://tracing)", file=out)
-        return 0
-    finally:
-        sys.argv = saved_argv
-        cancel_tracing()
+    os.makedirs(outdir, exist_ok=True)
+    stem = os.path.splitext(os.path.basename(script))[0]
+    jsonl_path = os.path.join(outdir, f"{stem}.trace.jsonl")
+    chrome_path = os.path.join(outdir, f"{stem}.chrome.json")
+    events = tracer.events()
+    write_jsonl(events, jsonl_path)
+    write_chrome(events, chrome_path)
+    print(file=out)
+    print(top_report(tracer, top=top), file=out)
+    print(f"\nwrote {len(events)} events to {jsonl_path}", file=out)
+    print(f"wrote chrome trace to {chrome_path} "
+          f"(open in chrome://tracing)", file=out)
+    return 0
 
 
 def reprotrace_entry() -> int:
@@ -491,9 +501,9 @@ def _campaign_plans(planes: Sequence[str], rate: float) -> List:
             plans.append(FaultPlan(plane, FaultKind.SPURIOUS,
                                    probability=rate / 16.0))
         elif plane is Plane.DISK:
-            # Only fires when a durable store is mounted (REPRO_DISK
-            # or request_durable); harmless — and deterministically
-            # idle — otherwise.
+            # Only fires when a durable store is mounted (a disk=
+            # boot or a session's disk_nblocks); harmless — and
+            # deterministically idle — otherwise.
             plans.append(FaultPlan(plane, FaultKind.TORN_WRITE,
                                    site="block-write",
                                    probability=rate))
@@ -528,106 +538,6 @@ def _campaign_plans(planes: Sequence[str], rate: float) -> List:
     return plans
 
 
-def _chaos_run(script: str, plans: Sequence, seed: int,
-               kinds: Sequence[str] = ("INJECT",)) -> dict:
-    """One seeded soak run of *script*; returns outcome + trace stream.
-
-    Outcomes:
-      * ``clean`` — the script finished (exit status 0);
-      * ``workload-failure`` — the script aborted on a simulated error
-        or a failed assertion: an injected fault surfaced, but through
-        the simulation's own typed channels;
-      * ``kernel-death`` — a non-simulation exception escaped: an
-        injected fault broke the simulator itself. Always a bug.
-    """
-    import contextlib
-    import io
-
-    from repro.inject import CAMPAIGN, cancel_injection, request_injection
-    from repro.trace import tracer as trace_state
-    from repro.trace.tracer import cancel_tracing, request_tracing
-
-    request_injection(plans, seed=seed)
-    request_tracing(kinds=list(kinds))
-    saved_argv = sys.argv
-    sys.argv = [script]
-    outcome, detail, captured = "clean", "", io.StringIO()
-    try:
-        try:
-            with contextlib.redirect_stdout(captured):
-                runpy.run_path(script, run_name="__main__")
-        except SystemExit as status:
-            if status.code not in (None, 0):
-                outcome = "workload-failure"
-                detail = f"exit status {status.code}"
-        except (SimulationError, AssertionError) as error:
-            outcome = "workload-failure"
-            detail = f"{type(error).__name__}: {error}"
-        except Exception as error:  # noqa: BLE001 - the point of the soak
-            outcome = "kernel-death"
-            detail = f"{type(error).__name__}: {error}"
-    finally:
-        tracer = trace_state.TRACER
-        stream = tuple(
-            (event.boot, event.cycle, event.pid, event.addr,
-             event.name, event.value)
-            for event in tracer.events()
-        ) if tracer.enabled else ()
-        totals = {
-            "boots": len(CAMPAIGN),
-            "triggered": sum(i.stats.triggered for i in CAMPAIGN),
-            "contained": sum(i.stats.contained for i in CAMPAIGN),
-            "retries": sum(i.stats.retries for i in CAMPAIGN),
-        }
-        sys.argv = saved_argv
-        cancel_injection()
-        cancel_tracing()
-    return {"outcome": outcome, "detail": detail, "stream": stream,
-            "totals": totals, "output": captured.getvalue()}
-
-
-def _durable_run(script: str, seed: int, nblocks: int,
-                 plans: Optional[Sequence] = None) -> dict:
-    """Run *script* with a durable store mounted under every kernel it
-    boots (and, optionally, fault plans armed). Returns the outcome and
-    the attached DiskStores for post-mortem inspection."""
-    import contextlib
-    import io
-
-    from repro.disk import CAMPAIGN as STORES
-    from repro.disk import cancel_durable, request_durable
-    from repro.inject import cancel_injection, request_injection
-
-    request_durable(nblocks=nblocks, seed=seed)
-    if plans:
-        request_injection(plans, seed=seed)
-    saved_argv = sys.argv
-    sys.argv = [script]
-    outcome, detail, captured = "clean", "", io.StringIO()
-    try:
-        try:
-            with contextlib.redirect_stdout(captured):
-                runpy.run_path(script, run_name="__main__")
-        except SystemExit as status:
-            if status.code not in (None, 0):
-                outcome = "workload-failure"
-                detail = f"exit status {status.code}"
-        except (SimulationError, AssertionError) as error:
-            outcome = "workload-failure"
-            detail = f"{type(error).__name__}: {error}"
-        except Exception as error:  # noqa: BLE001 - the point of the soak
-            outcome = "kernel-death"
-            detail = f"{type(error).__name__}: {error}"
-        stores = list(STORES)
-    finally:
-        sys.argv = saved_argv
-        cancel_durable()
-        if plans:
-            cancel_injection()
-    return {"outcome": outcome, "detail": detail, "stores": stores,
-            "output": captured.getvalue()}
-
-
 def _crash_soak(script: str, seed: int, nblocks: int, stride: int,
                 max_points: Optional[int], out: TextIO) -> List[str]:
     """Crash *script*'s durable store at every journal-record boundary;
@@ -635,12 +545,13 @@ def _crash_soak(script: str, seed: int, nblocks: int, stride: int,
     from repro import boot
     from repro.disk import fsck, verify_segments
     from repro.inject import FaultKind, FaultPlan, Plane
-
-    base = _durable_run(script, seed, nblocks)
-    if base["outcome"] == "kernel-death":
-        return [f"baseline: kernel death: {base['detail']}"]
+    durable = replace(current(), disk_nblocks=nblocks, disk_seed=seed)
+    runner = script_runner(script)
+    base = durable.execute(runner)
+    if base.status == "kernel-death":
+        return [f"baseline: kernel death: {base.detail}"]
     total = max((store.journal.records_written
-                 for store in base["stores"]), default=0)
+                 for store in base.run.stores), default=0)
     if total == 0:
         print(f"  {script}: wrote no journal records; nothing to crash",
               file=out)
@@ -652,12 +563,14 @@ def _crash_soak(script: str, seed: int, nblocks: int, stride: int,
     failures: List[str] = []
     for k in ks:
         plan = FaultPlan(Plane.DISK, FaultKind.CRASH, site="journal-*",
-                        after=k - 1, max_faults=1)
-        run = _durable_run(script, seed, nblocks, plans=[plan])
-        if run["outcome"] == "kernel-death":
-            failures.append(f"record {k}: kernel death: {run['detail']}")
+                         after=k - 1, max_faults=1)
+        crashed = replace(durable, plans=(plan,), inject_seed=seed) \
+            .execute(runner)
+        if crashed.status == "kernel-death":
+            failures.append(
+                f"record {k}: kernel death: {crashed.detail}")
             continue
-        for store in run["stores"]:
+        for store in crashed.run.stores:
             survivor = store.device.reopen()
             result = fsck(survivor, subject=f"{script}@{k}")
             if len(result.report):
@@ -675,6 +588,31 @@ def _crash_soak(script: str, seed: int, nblocks: int, stride: int,
     return failures
 
 
+def _soak_line(soak, label: str) -> str:
+    """One soak verdict line: outcome, drift, and the injection totals
+    of the recorded run."""
+    injectors = soak.outcome.run.injectors
+    verdict = soak.outcome.status
+    if not soak.report.ok:
+        verdict += " REPLAY-DRIFT"
+    line = (f"  {label}: {verdict} "
+            f"boots={len(soak.recording.boots)} "
+            f"injected={sum(i.stats.triggered for i in injectors)} "
+            f"contained={sum(i.stats.contained for i in injectors)} "
+            f"retries={sum(i.stats.retries for i in injectors)} "
+            f"events={len(soak.recording.events)}")
+    if soak.outcome.detail:
+        line += f" [{soak.outcome.detail}]"
+    lines = [line]
+    if not soak.report.ok:
+        lines.extend(f"    {text}"
+                     for text in soak.report.render().splitlines())
+    if soak.outcome.status == "kernel-death":
+        lines.extend(f"    | {text}" for text in
+                     soak.outcome.output.strip().splitlines()[-5:])
+    return "\n".join(lines)
+
+
 def reprochaos_main(argv: Sequence[str],
                     stdout: Optional[TextIO] = None) -> int:
     """Soak host scripts under seeded fault injection.
@@ -682,11 +620,13 @@ def reprochaos_main(argv: Sequence[str],
     ``reprochaos [--seed N] [--runs N] [--planes syscall,io,...]
     [--rate F] script.py...``
 
-    Every (script, seed) configuration is executed twice; because the
-    planes are seeded and the simulation is deterministic, the two
-    ``INJECT`` event streams must match bit-for-bit ("replay drift"
-    otherwise). Returns non-zero if any run died outside the
-    simulation's typed error channels or any replay drifted.
+    Every (script, seed) configuration is recorded once with ``INJECT``
+    tracing and replayed once (:func:`repro.rr.soak_script`); because
+    the planes are seeded and the simulation is deterministic, the
+    replay must match the recording's events, per-boot cycles, outcome
+    and stdout bit-for-bit, and the first divergence is printed
+    otherwise. Returns non-zero if any run died outside the
+    simulation's typed error channels or any replay diverged.
 
     ``reprochaos --crash [--seed N] [--stride N] [--max-points N]
     [--nblocks N] script.py...``
@@ -700,14 +640,15 @@ def reprochaos_main(argv: Sequence[str],
     ``reprochaos --net [--nodes N] ...`` adds the ``net`` plane
     (drop/dup/delay/corrupt frames) to the campaign, traces ``NET``
     events alongside ``INJECT`` so the drift check covers frame-level
-    ordering, and exports ``REPRO_CLUSTER=N`` so cluster-aware scripts
-    boot an N-node :class:`repro.net.Cluster` instead of one kernel.
+    ordering, and runs the script with ``REPRO_CLUSTER=N`` so
+    cluster-aware scripts boot an N-node :class:`repro.net.Cluster`
+    instead of one kernel.
 
     ``reprochaos --ha [--nodes N] ...`` is the availability soak: on
     top of ``--net`` it arms the ``node`` plane (seeded crashes,
     wedges, partitions, reboots), traces ``HA`` events so the drift
     check covers the failure schedule and the recovery protocol, and
-    exports ``REPRO_HA=1`` so cluster-aware scripts run the
+    runs the script with ``REPRO_HA=1`` so cluster-aware scripts run the
     self-healing scenario and assert re-convergence to the
     single-kernel oracle.
     """
@@ -835,53 +776,25 @@ def reprochaos_main(argv: Sequence[str],
     for plan in plans:
         print(f"  plan: {plan.describe()}", file=out)
 
-    saved_cluster = os.environ.get("REPRO_CLUSTER")
-    saved_ha = os.environ.get("REPRO_HA")
+    # Cluster-aware scripts (examples/rwho_network.py) read these to
+    # boot a cluster, and to run the self-healing scenario.
+    inputs = script_inputs()
     if net:
-        # Cluster-aware scripts (examples/rwho_network.py) read this to
-        # boot a cluster instead of a single kernel.
-        os.environ["REPRO_CLUSTER"] = str(nodes)
+        inputs["REPRO_CLUSTER"] = str(nodes)
     if ha:
-        os.environ["REPRO_HA"] = "1"
+        inputs["REPRO_HA"] = "1"
     failures = 0
-    try:
-        for script in scripts:
-            for run in range(runs):
-                run_seed = seed + run
-                first = _chaos_run(script, plans, run_seed, kinds)
-                replay = _chaos_run(script, plans, run_seed, kinds)
-                drift = first["stream"] != replay["stream"] \
-                    or first["outcome"] != replay["outcome"]
-                totals = first["totals"]
-                verdict = first["outcome"]
-                if drift:
-                    verdict += " REPLAY-DRIFT"
-                if first["outcome"] == "kernel-death" or drift:
-                    failures += 1
-                line = (f"  {script} seed={run_seed}: {verdict} "
-                        f"boots={totals['boots']} "
-                        f"injected={totals['triggered']} "
-                        f"contained={totals['contained']} "
-                        f"retries={totals['retries']} "
-                        f"events={len(first['stream'])}")
-                if first["detail"]:
-                    line += f" [{first['detail']}]"
-                print(line, file=out)
-                if first["outcome"] == "kernel-death":
-                    tail = first["output"].strip().splitlines()[-5:]
-                    for text in tail:
-                        print(f"    | {text}", file=out)
-    finally:
-        if net:
-            if saved_cluster is None:
-                os.environ.pop("REPRO_CLUSTER", None)
-            else:
-                os.environ["REPRO_CLUSTER"] = saved_cluster
-        if ha:
-            if saved_ha is None:
-                os.environ.pop("REPRO_HA", None)
-            else:
-                os.environ["REPRO_HA"] = saved_ha
+    for script in scripts:
+        for run in range(runs):
+            run_seed = seed + run
+            session = recording_session(
+                interval=0, trace_kinds=kinds, plans=plans,
+                inject_seed=run_seed)
+            soak = soak_script(script, session, inputs)
+            if not soak.ok:
+                failures += 1
+            print(_soak_line(soak, f"{script} seed={run_seed}"),
+                  file=out)
     if failures:
         print(f"reprochaos: FAILED ({failures} kernel death(s) or "
               f"replay drift(s))", file=out)
@@ -919,47 +832,11 @@ def _net_scenario(nnodes: int, seed: int, nhosts: int,
     return result
 
 
-def _net_soak_run(nnodes: int, seed: int, nhosts: int,
-                  implementation: str, plans: Sequence) -> dict:
-    """One seeded cluster soak: the rwho scenario under NET-plane
-    faults with ``NET``+``INJECT`` tracing armed. Same outcome
-    vocabulary as :func:`_chaos_run`."""
-    from repro.inject import CAMPAIGN, cancel_injection, request_injection
-    from repro.trace import tracer as trace_state
-    from repro.trace.tracer import cancel_tracing, request_tracing
-
-    request_injection(plans, seed=seed)
-    request_tracing(kinds=["NET", "INJECT"])
-    outcome, detail = "clean", ""
-    outputs: dict = {}
-    cycles: List[int] = []
-    try:
-        try:
-            result = _net_scenario(nnodes, seed, nhosts, implementation)
-            outputs = result["outputs"]
-            cycles = result["cycles"]
-        except (SimulationError, AssertionError) as error:
-            outcome = "workload-failure"
-            detail = f"{type(error).__name__}: {error}"
-        except Exception as error:  # noqa: BLE001 - the point of the soak
-            outcome = "kernel-death"
-            detail = f"{type(error).__name__}: {error}"
-    finally:
-        tracer = trace_state.TRACER
-        stream = tuple(
-            (event.boot, event.cycle, event.pid, event.addr,
-             event.name, event.value)
-            for event in tracer.events()
-        ) if tracer.enabled else ()
-        totals = {
-            "boots": len(CAMPAIGN),
-            "triggered": sum(i.stats.triggered for i in CAMPAIGN),
-            "contained": sum(i.stats.contained for i in CAMPAIGN),
-        }
-        cancel_injection()
-        cancel_tracing()
-    return {"outcome": outcome, "detail": detail, "stream": stream,
-            "outputs": outputs, "cycles": cycles, "totals": totals}
+def _print_net_outputs(result: dict) -> None:
+    """Print the readers' outputs, so the rr oracle diffs them."""
+    for node in sorted(result["outputs"]):
+        print(f"reader on node {node}:")
+        print(result["outputs"][node])
 
 
 def repronet_main(argv: Sequence[str],
@@ -975,12 +852,12 @@ def repronet_main(argv: Sequence[str],
     once, and prints the traffic/cycle accounting.
 
     ``repronet soak [--nodes N] [--seed N] [--hosts N] [--rate F]
-    [--runs N] [--impl shm|file]`` is the cluster replay-drift soak:
-    each seeded configuration runs twice under NET-plane faults
-    (drop/dup/delay/corrupt) with ``NET``+``INJECT`` tracing; the two
-    runs must agree bit-for-bit on reader outputs, trace streams, and
-    per-node cycle counts, and no fault may escape the simulation's
-    typed error channels.
+    [--runs N] [--impl shm|file]`` is the cluster drift soak: each
+    seeded configuration is recorded once under NET-plane faults
+    (drop/dup/delay/corrupt) with ``NET``+``INJECT`` tracing and
+    replayed once; the replay must match bit-for-bit on the printed
+    reader outputs, trace streams, and per-node cycle counts, and no
+    fault may escape the simulation's typed error channels.
     """
     out = stdout if stdout is not None else sys.stdout
     args = list(argv)
@@ -1079,28 +956,15 @@ def repronet_main(argv: Sequence[str],
     failures = 0
     for run in range(runs):
         run_seed = seed + run
-        first = _net_soak_run(nodes, run_seed, hosts, implementation,
-                              plans)
-        replay = _net_soak_run(nodes, run_seed, hosts, implementation,
-                               plans)
-        drift = first["stream"] != replay["stream"] \
-            or first["outputs"] != replay["outputs"] \
-            or first["cycles"] != replay["cycles"] \
-            or first["outcome"] != replay["outcome"]
-        totals = first["totals"]
-        verdict = first["outcome"]
-        if drift:
-            verdict += " REPLAY-DRIFT"
-        if first["outcome"] == "kernel-death" or drift:
+        session = recording_session(interval=0,
+                                    trace_kinds=("NET", "INJECT"),
+                                    plans=plans, inject_seed=run_seed)
+        soak = soak_call(
+            lambda: _print_net_outputs(_net_scenario(
+                nodes, run_seed, hosts, implementation)), session)
+        if not soak.ok:
             failures += 1
-        line = (f"  seed={run_seed}: {verdict} "
-                f"boots={totals['boots']} "
-                f"injected={totals['triggered']} "
-                f"contained={totals['contained']} "
-                f"events={len(first['stream'])}")
-        if first["detail"]:
-            line += f" [{first['detail']}]"
-        print(line, file=out)
+        print(_soak_line(soak, f"seed={run_seed}"), file=out)
     if failures:
         print(f"repronet: FAILED ({failures} kernel death(s) or "
               f"replay drift(s))", file=out)
@@ -1217,13 +1081,14 @@ def reprorr_main(argv: Sequence[str],
     [--rate F] [--seed N] [--kinds K,K] [--capacity N] [--nodes N]
     script.py [args...]``
 
-    Records one run: the manifest (script, argv, ``REPRO_*``
-    environment, fault plans, seeds, cluster topology) plus the full
-    trace-event stream and periodic whole-machine checkpoints every
-    ``--interval`` cycles (cluster runs checkpoint at round
-    boundaries). ``--nodes N`` exports ``REPRO_CLUSTER=N`` so
-    cluster-aware scripts boot an N-node cluster; the variable is
-    captured into the manifest, so replays inherit it automatically.
+    Records one run: the manifest (script, argv, script inputs, the
+    serialised session — fault plans, seeds, cores, tracer — and the
+    cluster topology) plus the full trace-event stream and periodic
+    whole-machine checkpoints every ``--interval`` cycles (cluster runs
+    checkpoint at round boundaries). ``--nodes N`` runs the script with
+    ``REPRO_CLUSTER=N`` so cluster-aware scripts boot an N-node
+    cluster; the input is stored in the manifest, so replays inherit
+    it automatically.
     The recording is written to ``FILE`` (default ``<script>.rrr``).
 
     ``reprorr replay [--script PATH] recording.rrr``
@@ -1243,8 +1108,6 @@ def reprorr_main(argv: Sequence[str],
 
     ``reprorr info recording.rrr`` prints the manifest summary.
     """
-    from repro.rr import record_script, replay_script, seek_script
-
     out = stdout if stdout is not None else sys.stdout
     args = list(argv)
     if not args or args[0] not in ("record", "replay", "seek", "info"):
@@ -1361,21 +1224,14 @@ def reprorr_main(argv: Sequence[str],
     except ValueError as error:
         raise UsageError(f"reprorr: {error}")
 
-    saved_cluster = os.environ.get("REPRO_CLUSTER")
+    inputs = script_inputs()
     if nodes is not None:
-        os.environ["REPRO_CLUSTER"] = str(nodes)
-    try:
-        extra = {} if capacity is None else {"capacity": capacity}
-        recording = record_script(script, script_args,
-                                  interval=interval, plans=plans,
-                                  inject_seed=seed, kinds=kinds,
-                                  **extra)
-    finally:
-        if nodes is not None:
-            if saved_cluster is None:
-                os.environ.pop("REPRO_CLUSTER", None)
-            else:
-                os.environ["REPRO_CLUSTER"] = saved_cluster
+        inputs["REPRO_CLUSTER"] = str(nodes)
+    extra = {} if capacity is None else {"trace_capacity": capacity}
+    recording = record_script(script, script_args, inputs=inputs,
+                              interval=interval, plans=plans,
+                              inject_seed=seed, trace_kinds=kinds,
+                              **extra)
     if output is None:
         stem = os.path.splitext(os.path.basename(script))[0]
         output = f"{stem}.rrr"
@@ -1398,18 +1254,6 @@ def reprorr_entry() -> int:
         return 2
 
 
-def _san_armed_run(body) -> "tuple":
-    """Run *body* with a fresh sanitizer armed; return (report, stats)."""
-    from repro.sanitize import cancel_sanitize, request_sanitize
-
-    sanitizer = request_sanitize()
-    try:
-        body()
-    finally:
-        cancel_sanitize()
-    return sanitizer.report, sanitizer.stats
-
-
 def _san_examples_dir() -> str:
     """The in-repo ``examples/`` directory (next to ``src/``)."""
     import repro as _repro
@@ -1423,24 +1267,14 @@ def _san_replay(case, out: TextIO, output: Optional[str]) -> int:
     """Record one armed run of *case*, then time-travel to the first
     finding: seek the recording to the earliest racing access (or heap
     misuse) cycle and verify the suffix replays bit-identically."""
-    import contextlib
-    import io
-
-    from repro.rr import record_call, seek_call
-    from repro.sanitize import cancel_sanitize, request_sanitize
-
     holder = {}
 
     def runner() -> None:
-        sanitizer = request_sanitize()
-        try:
-            case.body()
-        finally:
-            cancel_sanitize()
-        holder["report"] = sanitizer.report
+        case.body()
+        holder["report"] = active_run().sanitizer.report
 
-    with contextlib.redirect_stdout(io.StringIO()):
-        recording = record_call(runner)
+    recording = record_call(runner, session=replace(
+        current(), sanitize_limit=DEFAULT_REPORT_LIMIT))
     report = holder["report"]
     if report.clean:
         print(f"{case.name}: no findings to replay to", file=out)
@@ -1460,8 +1294,7 @@ def _san_replay(case, out: TextIO, output: Optional[str]) -> int:
         recording.save(output)
         print(f"wrote {output} ({os.path.getsize(output)} bytes)",
               file=out)
-    with contextlib.redirect_stdout(io.StringIO()):
-        result = seek_call(recording, target, runner)
+    result = seek_call(recording, target, runner)
     print(result.render(), file=out)
     return 0 if result.digest_ok and result.suffix_identical else 1
 
@@ -1487,9 +1320,10 @@ def reprosan_main(argv: Sequence[str],
 
     ``reprosan soak``
 
-    CI's sanitize-soak: every corpus case runs **twice**; each must
-    fire its expected finding and both reports must render
-    byte-identically (replay stability). Exit 1 on any miss or drift.
+    CI's sanitize-soak: every corpus case is recorded once with
+    ``SAN`` tracing and replayed once; each must fire its expected
+    finding, and the replay must reproduce the ``SAN`` events and the
+    printed report render bit-for-bit. Exit 1 on any miss or drift.
 
     ``reprosan sweep [DIR]``
 
@@ -1497,10 +1331,6 @@ def reprosan_main(argv: Sequence[str],
     every ``*.py`` under DIR) with the sanitizer armed and fails if
     *anything* fires — the examples are race-free by construction.
     """
-    import contextlib
-    import io
-    import runpy
-
     from repro.sanitize.corpus import case_named, san_cases
 
     out = stdout if stdout is not None else sys.stdout
@@ -1563,19 +1393,28 @@ def reprosan_main(argv: Sequence[str],
     if mode == "soak":
         if args:
             raise UsageError("reprosan: soak takes no arguments")
+        session = recording_session(
+            interval=0, trace_kinds=("SAN",),
+            sanitize_limit=DEFAULT_REPORT_LIMIT)
         failures = 0
         for case in san_cases():
-            with contextlib.redirect_stdout(io.StringIO()):
-                first = case.run().render()
-                second = case.run().render()
-            fired = case.expect in first
-            stable = first == second
-            verdict = "ok" if fired and stable else \
+            def runner(case=case) -> None:
+                try:
+                    case.body()
+                finally:
+                    print(active_run().sanitizer.report.render())
+
+            soak = soak_call(runner, session)
+            fired = case.expect in soak.outcome.output
+            verdict = "ok" if fired and soak.ok else \
                 ("DRIFT" if fired else "MISSING")
-            findings = first.splitlines()[0].split(": ", 1)[1]
+            findings = soak.outcome.output.splitlines()[0] \
+                .split(": ", 1)[1]
             print(f"{case.name:24s} {verdict:8s} {findings}", file=out)
             if verdict != "ok":
                 failures += 1
+                if not soak.report.ok:
+                    print(soak.report.render(), file=out)
         print(f"soak: {len(san_cases()) - failures}/{len(san_cases())} "
               f"case(s) ok", file=out)
         return 0 if failures == 0 else 1
@@ -1590,13 +1429,18 @@ def reprosan_main(argv: Sequence[str],
                      if entry.endswith(".py"))
     if not scripts:
         raise UsageError(f"reprosan: no *.py scripts in {directory}")
+    session = replace(current(), sanitize_limit=DEFAULT_REPORT_LIMIT)
     dirty = 0
     for script in scripts:
         path = os.path.join(directory, script)
-        with contextlib.redirect_stdout(io.StringIO()):
-            report, stats = _san_armed_run(
-                lambda: runpy.run_path(path, run_name="__main__"))
-        if report.clean:
+        outcome = session.execute(script_runner(path))
+        report, stats = outcome.run.sanitizer.report, \
+            outcome.run.sanitizer.stats
+        if outcome.status != "clean":
+            dirty += 1
+            print(f"{script:24s} {outcome.status}: {outcome.detail}",
+                  file=out)
+        elif report.clean:
             print(f"{script:24s} clean ({stats.accesses} access(es), "
                   f"{stats.hb_edges} hb edge(s))", file=out)
         else:

@@ -25,16 +25,15 @@ Enable tracing either explicitly::
     ...            # run the workload
     set_tracer(None)
 
-or ambiently for everything booted after the request (what the
-``reprotrace`` CLI and the ``REPRO_TRACE=1`` environment variable do)::
+or for every kernel booted inside a run (what the ``reprotrace`` CLI
+and ``REPRO_TRACE=1`` do; see :mod:`repro.session`)::
 
-    request_tracing(kinds=["FAULT", "LINK_RESOLVE"])
-    system = boot()        # Kernel.__init__ binds the tracer's clock
+    with Session(trace_kinds=("FAULT",), trace_capacity=4096).run():
+        system = boot()    # the run's tracer binds to this clock
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import TraceCursorError
@@ -121,14 +120,13 @@ class Tracer:
     enabled = True
 
     def __init__(self, clock=None, capacity: int = DEFAULT_CAPACITY,
-                 kinds: Optional[Iterable[Union[EventKind, str]]] = None,
-                 autobind: bool = False) -> None:
+                 kinds: Optional[Iterable[Union[EventKind, str]]] = None
+                 ) -> None:
         if capacity <= 0:
             raise ValueError("tracer capacity must be positive")
         self._clock = clock                  # anything with .cycles
         self.capacity = capacity
         self.mask = ALL_MASK if kinds is None else kinds_mask(kinds)
-        self.autobind = autobind
         self.boot_index = 0
         self._ring: List[Event] = []
         self._head = 0                       # next write slot once full
@@ -269,10 +267,6 @@ class Tracer:
 #: rather than import the object.
 TRACER: Union[Tracer, NullTracer] = NULL_TRACER
 
-# Configuration captured by request_tracing() / REPRO_TRACE, consumed by
-# the first Kernel boot after the request.
-_PENDING: Optional[dict] = None
-
 
 def get_tracer() -> Union[Tracer, NullTracer]:
     return TRACER
@@ -282,34 +276,6 @@ def set_tracer(tracer: Optional[Union[Tracer, NullTracer]]) -> None:
     """Install *tracer* globally (None restores the no-op tracer)."""
     global TRACER
     TRACER = tracer if tracer is not None else NULL_TRACER
-
-
-def request_tracing(kinds: Optional[Iterable[Union[EventKind, str]]] = None,
-                    capacity: int = DEFAULT_CAPACITY) -> None:
-    """Arm tracing for the next booted kernel (and rebind on later
-    boots), without needing the kernel to exist yet."""
-    global _PENDING
-    _PENDING = {"kinds": kinds, "capacity": capacity}
-
-
-def cancel_tracing() -> None:
-    """Disarm :func:`request_tracing` and restore the no-op tracer."""
-    global _PENDING
-    _PENDING = None
-    set_tracer(None)
-
-
-def attach_kernel(kernel) -> None:
-    """Called from ``Kernel.__init__``: honour a pending tracing
-    request, or rebind an auto-bound tracer to the new kernel's clock."""
-    global TRACER, _PENDING
-    if _PENDING is not None:
-        config = _PENDING
-        _PENDING = None
-        TRACER = Tracer(clock=None, capacity=config["capacity"],
-                        kinds=config["kinds"], autobind=True)
-    if TRACER.enabled and getattr(TRACER, "autobind", False):
-        TRACER.bind_clock(kernel.clock)
 
 
 class tracing:
@@ -331,19 +297,3 @@ class tracing:
     def __exit__(self, *exc) -> None:
         global TRACER
         TRACER = self._previous
-
-
-def _arm_from_environment() -> None:
-    """REPRO_TRACE=1 arms ambient tracing for any python entry point;
-    REPRO_TRACE_KINDS=FAULT,LINK_RESOLVE and REPRO_TRACE_CAPACITY=N
-    narrow it."""
-    if not os.environ.get("REPRO_TRACE"):
-        return
-    kinds_env = os.environ.get("REPRO_TRACE_KINDS", "")
-    kinds = [k for k in kinds_env.split(",") if k.strip()] or None
-    capacity = int(os.environ.get("REPRO_TRACE_CAPACITY",
-                                  str(DEFAULT_CAPACITY)))
-    request_tracing(kinds=kinds, capacity=capacity)
-
-
-_arm_from_environment()

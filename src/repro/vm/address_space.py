@@ -18,10 +18,10 @@ The design mirrors a simple Unix VM system:
 
 from __future__ import annotations
 
-import os
 import struct
 from typing import Dict, List, Optional, Tuple
 
+from repro import session as _session
 from repro.errors import MappingError
 from repro.trace import tracer as _trace
 from repro.trace.events import EventKind
@@ -59,20 +59,9 @@ TlbEntry = Tuple[bytearray, int, Frame]
 
 # The software TLB is a pure host-speed optimization; simulated cycle
 # and instruction totals are identical with it on, off, or absent (the
-# regression tests pin this). The switch exists so benchmarks can
-# measure the win and so a miscompare can be bisected quickly.
-_TLB_DEFAULT_ENABLED = os.environ.get("REPRO_TLB", "1") != "0"
-
-
-def default_tlb_enabled() -> bool:
-    """Whether newly created address spaces get a software TLB."""
-    return _TLB_DEFAULT_ENABLED
-
-
-def set_default_tlb_enabled(enabled: bool) -> None:
-    """Flip the process-wide default for new address spaces."""
-    global _TLB_DEFAULT_ENABLED
-    _TLB_DEFAULT_ENABLED = bool(enabled)
+# regression tests pin this). The session's ``tlb`` switch exists so
+# benchmarks can measure the win and so a miscompare can be bisected
+# quickly.
 
 
 def prot_str(prot: int) -> str:
@@ -143,8 +132,8 @@ class AddressSpace:
         self.name = name
         # vpn -> (frame data, effective prot, frame); see TlbEntry.
         self.tlb: Dict[int, TlbEntry] = {}
-        self._tlb_enabled = (_TLB_DEFAULT_ENABLED if tlb_enabled is None
-                             else bool(tlb_enabled))
+        self._tlb_enabled = (_session.current().tlb
+                             if tlb_enabled is None else bool(tlb_enabled))
         self.tlb_hits = 0
         self.tlb_misses = 0
         self.tlb_fills = 0

@@ -20,6 +20,7 @@ from repro.objfile.format import (
     RelocType,
     SEC_TEXT,
 )
+from repro.session import Session
 from repro.toyc import compile_source
 from repro.tools.cli import UsageError, reprolint_main
 from repro.analyze import (
@@ -308,36 +309,35 @@ class TestLdsGate:
         assert any("CFG002" in line for line in err.value.findings)
         assert not kernel.vfs.exists("/bin/broken")
 
-    def test_gate_off_by_default(self, system, kernel, shell, dirs,
-                                 monkeypatch):
-        monkeypatch.delenv("REPRO_LINT", raising=False)
+    def test_gate_off_by_default(self, system, kernel, shell, dirs):
         put(kernel, shell, "/src/broken.o", BROKEN_MAIN)
-        system.lds.link(shell, [LinkRequest("/src/broken.o")],
-                        output="/bin/broken")
-        assert kernel.vfs.exists("/bin/broken")
-
-    def test_env_variable_arms_the_gate(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LINT", "1")
-        system = boot()
-        kernel = system.kernel
-        shell = make_shell(kernel)
-        kernel.vfs.makedirs("/src")
-        kernel.vfs.makedirs("/bin")
-        put(kernel, shell, "/src/broken.o", BROKEN_MAIN)
-        with pytest.raises(LintError):
+        with Session().run():
             system.lds.link(shell, [LinkRequest("/src/broken.o")],
                             output="/bin/broken")
+        assert kernel.vfs.exists("/bin/broken")
 
-    def test_explicit_off_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LINT", "1")
-        system = boot()
-        kernel = system.kernel
-        shell = make_shell(kernel)
-        kernel.vfs.makedirs("/src")
-        kernel.vfs.makedirs("/bin")
-        put(kernel, shell, "/src/broken.o", BROKEN_MAIN)
-        system.lds.link(shell, [LinkRequest("/src/broken.o")],
-                        output="/bin/broken", verify=False)
+    def test_env_variable_arms_the_gate(self):
+        with Session.from_env({"REPRO_LINT": "1"}).run():
+            system = boot()
+            kernel = system.kernel
+            shell = make_shell(kernel)
+            kernel.vfs.makedirs("/src")
+            kernel.vfs.makedirs("/bin")
+            put(kernel, shell, "/src/broken.o", BROKEN_MAIN)
+            with pytest.raises(LintError):
+                system.lds.link(shell, [LinkRequest("/src/broken.o")],
+                                output="/bin/broken")
+
+    def test_explicit_off_overrides_env(self):
+        with Session.from_env({"REPRO_LINT": "1"}).run():
+            system = boot()
+            kernel = system.kernel
+            shell = make_shell(kernel)
+            kernel.vfs.makedirs("/src")
+            kernel.vfs.makedirs("/bin")
+            put(kernel, shell, "/src/broken.o", BROKEN_MAIN)
+            system.lds.link(shell, [LinkRequest("/src/broken.o")],
+                            output="/bin/broken", verify=False)
         assert kernel.vfs.exists("/bin/broken")
 
 

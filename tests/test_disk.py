@@ -30,6 +30,7 @@ from repro.disk.fsck import _check_addrmap, _check_sfs, _check_tree, \
 from repro.disk.image import serialize_volume
 from repro.disk.journal import REC_OP, scan_journal
 from repro.disk.mount import compute_geometry, read_superblock
+from repro.session import Session
 from repro.analyze.report import Report
 from repro.errors import (
     DiskCrashedError,
@@ -365,26 +366,19 @@ class TestRenameAtomicity:
             seed=31, workload=_rename_overwrite_workload)
         for record in range(1, total + 1):
             point_device = BlockDevice(nblocks=2048, seed=31)
-            from repro.inject import (
-                FaultKind,
-                FaultPlan,
-                Plane,
-                cancel_injection,
-                request_injection,
-            )
-            request_injection(
-                [FaultPlan(Plane.DISK, FaultKind.CRASH,
-                           site="journal-*", after=record - 1,
-                           max_faults=1)], seed=31)
-            try:
+            from repro.inject import FaultKind, FaultPlan, Plane
+
+            with Session(plans=[FaultPlan(Plane.DISK, FaultKind.CRASH,
+                                          site="journal-*",
+                                          after=record - 1,
+                                          max_faults=1)],
+                         inject_seed=31).run():
                 system = mount(point_device)
                 try:
                     _rename_overwrite_workload(system.kernel)
                 except SimulationError:
                     pass
                 system.kernel.shutdown()
-            finally:
-                cancel_injection()
             check = fsck(point_device.reopen(), subject=f"rename@{record}")
             assert len(check.report) == 0, \
                 f"record {record}: {check.report.render()}"

@@ -17,14 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import boot
+from repro.apps.rwho.cluster import run_cluster_rwho, synth_statuses
 from repro.errors import InjectedNetError, NetError
-from repro.inject import (
-    FaultKind,
-    FaultPlan,
-    Plane,
-    cancel_injection,
-    request_injection,
-)
+from repro.inject import FaultKind, FaultPlan, Plane
 from repro.kernel.timing import Clock
 from repro.net import (
     MAX_RETRANSMITS,
@@ -36,11 +31,13 @@ from repro.net import (
 )
 from repro.runtime.libshared import runtime_for
 from repro.runtime.views import Mem
+from repro.rr import record_call, replay_call
+from repro.session import Session
 from repro.sfs.sharedfs import MAX_INODES
+from repro.trace.events import EventKind
 from repro.tools.cli import (
     UsageError,
     _campaign_plans,
-    _net_soak_run,
     repronet_main,
     reprochaos_main,
 )
@@ -323,8 +320,7 @@ class TestCoherence:
         plans = [FaultPlan(Plane.NET, kind, site=site,
                            probability=1.0, max_faults=nfaults)] \
             if nfaults else []
-        request_injection(plans, seed=seed)
-        try:
+        with Session(plans=plans, inject_seed=seed).run():
             cluster = Cluster(3, seed=(seed % 65521) + 1)
             cluster.spawn(0, "creator", creator_body(PROP_SEG))
             cluster.run()
@@ -343,8 +339,6 @@ class TestCoherence:
             expected = [model.get(slot, 0) for slot in range(4)]
             assert views == {0: expected, 1: expected, 2: expected}
             cluster.shutdown()
-        finally:
-            cancel_injection()
 
     def test_rpc_exhaustion_is_contained(self):
         """Dropping every rpc frame exhausts the retransmit budget: the
@@ -352,8 +346,7 @@ class TestCoherence:
         the cluster survive."""
         plans = [FaultPlan(Plane.NET, FaultKind.DROP, site="rpc",
                            probability=1.0)]
-        request_injection(plans, seed=3)
-        try:
+        with Session(plans=plans, inject_seed=3).run():
             cluster = Cluster(2, seed=8)
             cluster.spawn(0, "creator", creator_body(PROP_SEG))
             cluster.run()
@@ -373,8 +366,6 @@ class TestCoherence:
             cluster.run()
             assert views[0][0] == 0
             cluster.shutdown()
-        finally:
-            cancel_injection()
 
 
 # ----------------------------------------------------------------------
@@ -430,29 +421,40 @@ class TestClusterRwho:
 # replay-drift regression
 # ----------------------------------------------------------------------
 
-def _soak(plans, seed):
-    return _net_soak_run(4, seed, 24, "shm", plans)
+def _rwho_soak_workload():
+    """The repronet soak scenario: 4 nodes x 24 hosts, printing every
+    reader's output so the replay oracle diffs them."""
+    cluster = Cluster(4, seed=1993)
+    result = run_cluster_rwho(cluster, synth_statuses(24), "shm")
+    cluster.shutdown()
+    for node in sorted(result["outputs"]):
+        print(node, result["outputs"][node])
+
+
+def _record_soak(plans):
+    return record_call(_rwho_soak_workload, interval=0,
+                       trace_kinds=("NET", "INJECT"), plans=plans,
+                       inject_seed=1993)
 
 
 class TestReplayDrift:
     def test_fault_free_replay_is_bit_identical(self):
-        first = _soak([], 1993)
-        replay = _soak([], 1993)
-        assert first["outcome"] == "clean"
-        assert first["stream"] == replay["stream"]
-        assert first["outputs"] == replay["outputs"]
-        assert first["cycles"] == replay["cycles"]
-        assert len(first["stream"]) > 0  # NET events were traced
+        recording = _record_soak([])
+        assert recording.outcome == "clean"
+        assert len(recording.events) > 0  # NET events were traced
+        assert len(recording.boots) == 4  # per-node cycles compared
+        report = replay_call(recording, _rwho_soak_workload)
+        assert report.ok, report.render()
+        assert report.events_compared == len(recording.events)
 
     def test_faulted_replay_is_bit_identical(self):
         plans = _campaign_plans(["net"], 0.2)
-        first = _soak(plans, 1993)
-        replay = _soak(plans, 1993)
-        assert first["outcome"] != "kernel-death"
-        assert first["totals"]["triggered"] > 0
-        assert first["stream"] == replay["stream"]
-        assert first["outputs"] == replay["outputs"]
-        assert first["cycles"] == replay["cycles"]
+        recording = _record_soak(plans)
+        assert recording.outcome != "kernel-death"
+        assert any(event[0] == EventKind.INJECT
+                   for event in recording.events)  # faults triggered
+        report = replay_call(recording, _rwho_soak_workload)
+        assert report.ok, report.render()
 
 
 # ----------------------------------------------------------------------

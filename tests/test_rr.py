@@ -41,7 +41,7 @@ from repro.rr import (
     seek_call,
     state_digest,
 )
-from repro.rr.recording import decode_plan, encode_plan
+from repro.session import Session
 from repro.tools.cli import UsageError, reprorr_main
 
 LOOP_SOURCE = """
@@ -95,20 +95,23 @@ def _cluster_workload():
 
 class TestRecordingFormat:
     def test_bytes_roundtrip(self):
+        session = Session(trace_kinds=("FAULT",), trace_capacity=512,
+                          inject_seed=3, interval=1000, ncores=2)
         recording = Recording(
             manifest={"script": "x.py", "argv": ["a"], "env":
-                      {"REPRO_CLUSTER": "4"}, "plans": [], "inject_seed":
-                      3, "nodes": 4, "net_seed": 7, "interval": 1000,
-                      "kinds": ["FAULT"], "capacity": 512},
+                      {"REPRO_CLUSTER": "4"}, "session": session,
+                      "nodes": 4, "net_seed": 7},
             boots=[(100, [["syscalls", 60], ["switches", 40]])],
             events=[[1, 50, 2, 0, "open", 0, 0, 0]],
             checkpoints=[Checkpoint(boot=0, cycle=80, cursor=1,
                                     digest=b"\x01" * 32,
                                     state=["machine", [80, []]])],
-            emitted=1, dropped=0, outcome="clean",
+            emitted=1, dropped=0, outcome="clean", output=b"\x02" * 32,
         )
         clone = Recording.from_bytes(recording.to_bytes())
         assert clone.manifest == recording.manifest
+        assert clone.session == session
+        assert clone.output == recording.output
         assert clone.boots == recording.boots
         assert clone.events == recording.events
         assert clone.emitted == 1 and clone.dropped == 0
@@ -148,9 +151,8 @@ class TestRecordingFormat:
             FaultPlan(Plane.LINKER, FaultKind.ERROR, transient=True),
             FaultPlan(Plane.NET, FaultKind.DROP, probability=0.5),
         ]
-        for plan in plans:
-            clone = decode_plan(encode_plan(plan))
-            assert encode_plan(clone) == encode_plan(plan)
+        session = Session(plans=plans, inject_seed=5)
+        assert Session.from_fields(session.to_fields()) == session
 
     def test_nearest_checkpoint(self):
         cps = [Checkpoint(0, 100, 1, b"a", []),
@@ -267,6 +269,37 @@ class TestOracle:
         assert report.divergence.what == "outcome"
         assert report.divergence.replayed == "workload-failure"
 
+    def test_output_divergence(self):
+        """A run whose stdout depends on host state (a counter kept
+        outside the simulation) diverges, although every event, cycle
+        and checkpoint matches."""
+        runs = {"n": 0}
+
+        def prints_host_counter():
+            from repro import boot
+
+            boot().kernel.shutdown()
+            print(runs["n"])
+            runs["n"] += 1
+
+        recording = record_call(prints_host_counter, interval=None)
+        report = replay_call(recording, prints_host_counter)
+        assert not report.ok
+        assert report.divergence.what == "output"
+        assert "first divergence: output" in report.render()
+
+    def test_version_1_recording_is_rejected(self):
+        import zlib
+
+        from repro.disk.codec import encode_fields
+        from repro.rr.recording import _MAGIC
+
+        manifest = ["x.py", [], [], [], 0, 0, None, None, None, 512]
+        blob = _MAGIC + zlib.compress(encode_fields(
+            [1, manifest, [], [], [], 0, 0, "clean"]))
+        with pytest.raises(RRError, match="version 1"):
+            Recording.from_bytes(blob)
+
 
 # ---------------------------------------------------------------------------
 # materialize: the true state-restore fast path
@@ -306,6 +339,23 @@ class TestMaterialize:
                 twin.exit_code) == original
         assert state_digest(capture_machine(clone)) \
             == state_digest(capture_machine(kernel))
+
+    def test_boots_under_an_empty_session(self):
+        """materialize must not consume the caller's planes: a durable
+        store or sanitizer armed around it stays off the restored
+        kernel and out of the caller's run."""
+        kernel, _proc = self._mid_run_kernel()
+        state = capture_machine(kernel)
+        session = Session(disk_nblocks=2048, sanitize_limit=256,
+                          trace_capacity=64, interval=0,
+                          plans=[FaultPlan(Plane.SYSCALL, FaultKind.ERROR,
+                                           probability=0.0)])
+        with session.run() as run:
+            clone = materialize(state)
+        assert clone.disk is None and clone.sanitizer is None
+        assert clone.injector is None and clone.recorder is None
+        assert run.kernels == [] and run.stores == []
+        assert run.tracer is None
 
     def test_cluster_state_is_rejected(self):
         from repro.net import Cluster

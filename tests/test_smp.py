@@ -45,7 +45,6 @@ from repro.runtime.shmalloc import (
     SegmentHeapError,
 )
 from repro.runtime.views import Mem
-from repro.sanitize.ambient import cancel_sanitize, request_sanitize
 from repro.sanitize.corpus import (
     _SMP_NITEMS,
     _SMP_SHARED,
@@ -54,6 +53,7 @@ from repro.sanitize.corpus import (
     _racy_presto,
     case_named,
 )
+from repro.session import Session
 from repro.trace import tracing
 from repro.vm.address_space import (
     AddressSpace,
@@ -143,15 +143,15 @@ class TestDegenerateCase:
         assert kernel.smp is not None
         assert kernel.smp.ncores == 4
 
-    def test_env_var_selects_core_count(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORES", "3")
-        kernel = boot().kernel
+    def test_env_var_selects_core_count(self):
+        with Session.from_env({"REPRO_CORES": "3"}).run():
+            kernel = boot().kernel
         assert kernel.ncores == 3
         assert kernel.smp is not None
 
-    def test_explicit_ncores_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORES", "3")
-        assert boot(ncores=1).kernel.smp is None
+    def test_explicit_ncores_overrides_env(self):
+        with Session.from_env({"REPRO_CORES": "3"}).run():
+            assert boot(ncores=1).kernel.smp is None
 
     def test_fanout_pin_at_one_core(self):
         run = _run_fanout(ncores=1)
@@ -560,13 +560,11 @@ class TestSmpRaceCorpus:
     def test_clean_on_one_core(self):
         for worker, shared in ((_RACY_TOTAL_WORKER, None),
                                (_SMP_MERGE_WORKER, _SMP_SHARED)):
-            sanitizer = request_sanitize(report_limit=256)
-            try:
+            with Session(sanitize_limit=256).run() as run:
+                sanitizer = run.sanitizer
                 kwargs = {"shared_source": shared} if shared else {}
                 _racy_presto(worker, nitems=_SMP_NITEMS, nworkers=2,
                              ncores=1, **kwargs)
-            finally:
-                cancel_sanitize()
             assert sanitizer.report.clean, sanitizer.report.render()
 
     def test_reports_replay_identically(self):
@@ -575,11 +573,9 @@ class TestSmpRaceCorpus:
 
     def test_sanitizer_is_cycle_invisible_at_two_cores(self):
         disarmed = _run_presto(ncores=2, nworkers=2, nitems=8)
-        sanitizer = request_sanitize()
-        try:
+        with Session(sanitize_limit=256).run() as run:
+            sanitizer = run.sanitizer
             armed = _run_presto(ncores=2, nworkers=2, nitems=8)
-        finally:
-            cancel_sanitize()
         assert armed["cycles"] == disarmed["cycles"]
         assert armed["elapsed"] == disarmed["elapsed"]
         assert armed["by_category"] == disarmed["by_category"]

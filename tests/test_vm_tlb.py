@@ -20,6 +20,7 @@ from repro.bench.workloads import (
 )
 from repro.hw.asm import assemble
 from repro.hw.cpu import Cpu, SyscallTrap
+from repro.session import Session
 from repro.trace import EventKind, Tracer, set_tracer, tracing
 from repro.trace.export import top_report
 from repro.vm.address_space import (
@@ -28,8 +29,6 @@ from repro.vm.address_space import (
     PROT_READ,
     PROT_RW,
     PROT_RWX,
-    default_tlb_enabled,
-    set_default_tlb_enabled,
 )
 from repro.vm.faults import PageFaultError
 from repro.vm.layout import PAGE_SHIFT, PAGE_SIZE
@@ -58,10 +57,8 @@ def space(pm):
 def tlb_on():
     """Force the process-wide default on (kernel-created address spaces
     follow it), so these tests mean the same under REPRO_TLB=0."""
-    saved = default_tlb_enabled()
-    set_default_tlb_enabled(True)
-    yield
-    set_default_tlb_enabled(saved)
+    with Session(tlb=True).run():
+        yield
 
 
 class TestFastPath:
@@ -108,14 +105,11 @@ class TestFastPath:
         assert space.load_word(BASE) == 1    # slow path still works
 
     def test_default_toggle(self, pm):
-        saved = default_tlb_enabled()
-        try:
-            set_default_tlb_enabled(False)
+        with Session(tlb=False).run():
             assert AddressSpace(pm).tlb_enabled is False
-            set_default_tlb_enabled(True)
+        with Session(tlb=True).run():
             assert AddressSpace(pm).tlb_enabled is True
-        finally:
-            set_default_tlb_enabled(saved)
+        assert Session.from_env({"REPRO_TLB": "0"}).tlb is False
 
 
 class TestInvalidation:
@@ -343,9 +337,7 @@ class TestStatsAndTrace:
     def test_top_report_has_tlb_section(self):
         """The reprotrace top-N report aggregates the TLB counters the
         address spaces publish when they are destroyed."""
-        saved = default_tlb_enabled()
-        set_default_tlb_enabled(True)
-        try:
+        with Session(tlb=True).run():
             system = boot()
             with tracing(system.kernel) as tracer:
                 kernel = system.kernel
@@ -356,8 +348,6 @@ class TestStatsAndTrace:
                 proc = kernel.create_machine_process(
                     "p", graph.executable)
                 kernel.run_until_exit(proc)
-        finally:
-            set_default_tlb_enabled(saved)
         report = top_report(tracer, top=5)
         assert "software-TLB traffic" in report
         assert "tlb:hits" in report
@@ -382,13 +372,9 @@ class TestCycleIdentity:
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_e2_totals_match_seed(self, enabled):
-        saved = default_tlb_enabled()
-        set_default_tlb_enabled(enabled)
-        try:
+        with Session(tlb=enabled).run():
             assert self._run_fanout(lazy=True) == SEED_E2_LAZY_TOTAL
             assert self._run_fanout(lazy=False) == SEED_E2_EAGER_TOTAL
-        finally:
-            set_default_tlb_enabled(saved)
 
 
 # A mirrored-pair property test: drive one TLB-enabled and one
