@@ -1,7 +1,8 @@
 """Check 3 — CFG and dead-code analysis (CFG001..CFG005).
 
-Decodes the text section with the :mod:`repro.hw.isa` tables, carves it
-into basic blocks, and walks reachability from every entry point: the
+Decodes the text section with the :mod:`repro.hw.isa` semantics table
+(validity and control-flow class per instruction), carves it into basic
+blocks, and walks reachability from every entry point: the
 entry symbol, every defined text symbol (functions are callable from
 other modules, locals label branch targets), and every symbol a
 relocation can materialize as a function pointer.
@@ -37,23 +38,6 @@ from repro.analyze.report import Report, finding
 
 ISLAND_RE = re.compile(r"^__island_\d+__")
 ISLAND_SIZE = 12  # lui/ori/jr — keep in sync with linker.branch_islands
-
-_VALID_FUNCTS = frozenset({
-    isa.FN_SLL, isa.FN_SRL, isa.FN_SRA, isa.FN_SLLV, isa.FN_SRLV,
-    isa.FN_SRAV, isa.FN_JR, isa.FN_JALR, isa.FN_SYSCALL, isa.FN_BREAK,
-    isa.FN_MUL, isa.FN_DIV, isa.FN_REM, isa.FN_ADD, isa.FN_SUB,
-    isa.FN_AND, isa.FN_OR, isa.FN_XOR, isa.FN_NOR, isa.FN_SLT,
-    isa.FN_SLTU,
-})
-_VALID_I_OPS = frozenset({
-    isa.OP_BEQ, isa.OP_BNE, isa.OP_BLEZ, isa.OP_BGTZ, isa.OP_ADDI,
-    isa.OP_SLTI, isa.OP_SLTIU, isa.OP_ANDI, isa.OP_ORI, isa.OP_XORI,
-    isa.OP_LUI, isa.OP_LB, isa.OP_LH, isa.OP_LW, isa.OP_LBU,
-    isa.OP_LHU, isa.OP_SB, isa.OP_SH, isa.OP_SW,
-})
-_BRANCH_OPS = frozenset({isa.OP_BEQ, isa.OP_BNE, isa.OP_BLEZ,
-                         isa.OP_BGTZ})
-
 
 @dataclass
 class _Insn:
@@ -133,36 +117,24 @@ def _decode(obj: ObjectFile, text: bytes, base: int,
 
 
 def _word_decodes(word: int) -> bool:
-    op = (word >> 26) & 0x3F
-    if op == isa.OP_SPECIAL:
-        return (word & 0x3F) in _VALID_FUNCTS
-    if op == isa.OP_REGIMM:
-        return ((word >> 16) & 31) in (isa.RT_BLTZ, isa.RT_BGEZ)
-    if op in (isa.OP_J, isa.OP_JAL):
-        return True
-    return op in _VALID_I_OPS
+    return isa.lookup(word) is not None
 
 
 def _classify(insn: _Insn, base: int, obj: ObjectFile,
               jump_relocs: Dict[int, object]) -> None:
     word, offset = insn.word, insn.offset
-    op = (word >> 26) & 0x3F
-    funct = word & 0x3F
-    simm = sign_extend(word & 0xFFFF, 16)
-    if op == isa.OP_SPECIAL:
-        if funct == isa.FN_JR:
-            insn.ends_block = True
-            insn.falls_through = False  # indirect; target unknowable
-        elif funct == isa.FN_JALR:
-            insn.ends_block = True     # indirect call; returns here
-        return
-    if op == isa.OP_REGIMM or op in _BRANCH_OPS:
+    row = isa.lookup(word)
+    if row.flow == isa.INDIRECT:
+        # Target unknowable; an indirect call (jalr) returns here.
         insn.ends_block = True
+        insn.falls_through = row.links
+    elif row.flow == isa.BRANCH:
+        insn.ends_block = True
+        simm = sign_extend(word & 0xFFFF, 16)
         insn.targets.append(offset + 4 + (simm << 2))
-        return
-    if op in (isa.OP_J, isa.OP_JAL):
+    elif row.flow == isa.JUMP:
         insn.ends_block = True
-        insn.falls_through = op == isa.OP_JAL  # calls return
+        insn.falls_through = row.links  # calls return
         reloc = jump_relocs.get(offset)
         if reloc is not None:
             target = _reloc_target_offset(obj, reloc, base)

@@ -1,9 +1,12 @@
 """The CPU interpreter with precise, restartable faults.
 
-The interpreter executes one instruction per :meth:`Cpu.step`. All memory
-accesses go through the attached :class:`~repro.vm.AddressSpace`; a
-:class:`~repro.vm.PageFaultError` propagates out of ``step`` *before* any
-architectural state (registers, PC) is updated, so the kernel can run a
+:meth:`Cpu.step` executes one instruction, or, given a budget, one
+translated block of up to that many instructions. Both execution tiers
+are generated from the semantics table in :mod:`repro.hw.isa` (see
+:mod:`repro.hw.translate`). All memory accesses go through the attached
+:class:`~repro.vm.AddressSpace`; a :class:`~repro.vm.PageFaultError`
+propagates out of ``step`` with the PC at the faulting instruction and
+only the instructions before it counted, so the kernel can run a
 user-level fault handler and simply re-execute the instruction — the
 mechanism Hemlock's lazy linking and pointer chasing depend on.
 
@@ -21,36 +24,37 @@ from repro.errors import (
     ExecutionBudgetExceeded,
     InvalidInstructionError,
 )
-from repro.util.bits import sign_extend, to_signed32
+from repro.hw import isa, translate
+from repro.hw.isa import ArithmeticTrap, BreakTrap, SyscallTrap, Trap
 from repro.vm.address_space import PROT_EXEC, AddressSpace
 from repro.vm.layout import PAGE_SHIFT, PAGE_SIZE
-from repro.hw import isa
+
+__all__ = ["Cpu", "Trap", "SyscallTrap", "BreakTrap", "ArithmeticTrap",
+           "HOT_ENTRIES"]
 
 _WORD = struct.Struct("<I")
 _PAGE_MASK = PAGE_SIZE - 1
-
-
-class Trap(Exception):
-    """A synchronous event requiring kernel service."""
-
-    def __init__(self, pc: int) -> None:
-        super().__init__(f"{type(self).__name__} at pc=0x{pc:08x}")
-        self.pc = pc
-
-
-class SyscallTrap(Trap):
-    """The program executed ``syscall``."""
-
-
-class BreakTrap(Trap):
-    """The program executed ``break`` (used as an explicit halt/abort)."""
-
-
-class ArithmeticTrap(Trap):
-    """Integer divide or remainder by zero."""
-
-
 _MASK32 = 0xFFFFFFFF
+
+#: Budgeted re-entries into a cached instruction before the
+#: straight-line run it leads is translated into a block. Code that runs
+#: a handful of times (the link-bound fanout workload runs each block
+#: about once) never pays for the translation.
+HOT_ENTRIES = 16
+
+
+class _Decoded:
+    """One ``Frame.decode`` entry: a decoded instruction and, once it has
+    been re-entered :data:`HOT_ENTRIES` times with a budget, the
+    translated block it leads (None while cold, and for good if the run
+    is too short to be worth one)."""
+
+    __slots__ = ("handler", "fields", "heat", "block")
+
+    def __init__(self, word: int) -> None:
+        self.handler, self.fields = translate.decode(word)
+        self.heat = HOT_ENTRIES
+        self.block = None
 
 
 class Cpu:
@@ -92,12 +96,15 @@ class Cpu:
     # execution
     # ------------------------------------------------------------------
 
-    def step(self) -> None:
-        """Execute exactly one instruction.
+    def step(self, budget: int = 1) -> None:
+        """Execute one instruction, or one translated block of at most
+        *budget* instructions.
 
         Raises :class:`PageFaultError` with the PC still pointing at the
-        faulting instruction, or a :class:`Trap` for syscall/break/divide
-        faults. On normal completion the PC has advanced.
+        faulting instruction (instructions before it in the block have
+        completed), or a :class:`Trap` for syscall/break/divide faults.
+        On normal completion the PC has advanced. With the default
+        budget of 1 this is the plain interpreter.
         """
         space = self.address_space
         if space is None:
@@ -106,192 +113,57 @@ class Cpu:
         if pc & 3:
             raise AlignmentError(pc, 4)
         entry = space.tlb.get(pc >> PAGE_SHIFT)
-        if entry is not None and entry[1] & PROT_EXEC:
+        if entry is None or not entry[1] & PROT_EXEC:
+            handler, fields = translate.decode(space.fetch_word(pc))
+        else:
             # TLB hit on an executable page: fetch straight from the
             # frame and reuse (or fill) its decoded-instruction cache.
-            space.tlb_hits += 1
-            decode = entry[2].decode
-            offset = pc & _PAGE_MASK
-            decoded = decode.get(offset)
-            if decoded is None:
-                word = _WORD.unpack_from(entry[0], offset)[0]
-                decoded = (word, (word >> 26) & 0x3F, (word >> 21) & 31,
-                           (word >> 16) & 31)
-                decode[offset] = decoded
-                self.decode_misses += 1
-            else:
-                self.decode_hits += 1
+            frame = entry[2]
             if space.smp is not None:
                 # SMP shadow bookkeeping: this core now holds decoded
                 # instructions of this frame, so a cross-core store to
                 # it must be accounted as a decode shootdown.
-                entry[2].decode_cores.add(space.core)
-            word, op, rs, rt = decoded
-        else:
-            word = space.fetch_word(pc)
-            op = (word >> 26) & 0x3F
-            rs = (word >> 21) & 31
-            rt = (word >> 16) & 31
-        regs = self.regs
-        next_pc = (pc + 4) & _MASK32
-
-        if op == isa.OP_SPECIAL:
-            rd = (word >> 11) & 31
-            funct = word & 0x3F
-            if funct == isa.FN_ADD:
-                value = (regs[rs] + regs[rt]) & _MASK32
-            elif funct == isa.FN_SUB:
-                value = (regs[rs] - regs[rt]) & _MASK32
-            elif funct == isa.FN_AND:
-                value = regs[rs] & regs[rt]
-            elif funct == isa.FN_OR:
-                value = regs[rs] | regs[rt]
-            elif funct == isa.FN_XOR:
-                value = regs[rs] ^ regs[rt]
-            elif funct == isa.FN_NOR:
-                value = ~(regs[rs] | regs[rt]) & _MASK32
-            elif funct == isa.FN_SLT:
-                value = 1 if to_signed32(regs[rs]) < to_signed32(regs[rt]) \
-                    else 0
-            elif funct == isa.FN_SLTU:
-                value = 1 if regs[rs] < regs[rt] else 0
-            elif funct == isa.FN_MUL:
-                value = (to_signed32(regs[rs]) * to_signed32(regs[rt])) \
-                    & _MASK32
-            elif funct == isa.FN_DIV:
-                if regs[rt] == 0:
-                    raise ArithmeticTrap(pc)
-                quotient = int(to_signed32(regs[rs]) / to_signed32(regs[rt]))
-                value = quotient & _MASK32
-            elif funct == isa.FN_REM:
-                if regs[rt] == 0:
-                    raise ArithmeticTrap(pc)
-                a, b = to_signed32(regs[rs]), to_signed32(regs[rt])
-                value = (a - int(a / b) * b) & _MASK32
-            elif funct == isa.FN_SLL:
-                value = (regs[rt] << ((word >> 6) & 31)) & _MASK32
-            elif funct == isa.FN_SRL:
-                value = regs[rt] >> ((word >> 6) & 31)
-            elif funct == isa.FN_SRA:
-                value = (to_signed32(regs[rt]) >> ((word >> 6) & 31)) \
-                    & _MASK32
-            elif funct == isa.FN_SLLV:
-                value = (regs[rt] << (regs[rs] & 31)) & _MASK32
-            elif funct == isa.FN_SRLV:
-                value = regs[rt] >> (regs[rs] & 31)
-            elif funct == isa.FN_SRAV:
-                value = (to_signed32(regs[rt]) >> (regs[rs] & 31)) \
-                    & _MASK32
-            elif funct == isa.FN_JR:
-                target = regs[rs]
-                if target & 3:
-                    raise AlignmentError(target, 4)
-                self.pc = target
-                self.instructions_executed += 1
-                return
-            elif funct == isa.FN_JALR:
-                target = regs[rs]
-                if target & 3:
-                    raise AlignmentError(target, 4)
-                self.set_reg(rd, next_pc)
-                self.pc = target
-                self.instructions_executed += 1
-                return
-            elif funct == isa.FN_SYSCALL:
-                raise SyscallTrap(pc)
-            elif funct == isa.FN_BREAK:
-                raise BreakTrap(pc)
+                frame.decode_cores.add(space.core)
+            offset = pc & _PAGE_MASK
+            decoded = frame.decode.get(offset)
+            if decoded is None:
+                decoded = frame.decode[offset] = _Decoded(
+                    _WORD.unpack_from(entry[0], offset)[0])
+                self.decode_misses += 1
             else:
-                raise InvalidInstructionError(pc, word)
-            self.set_reg(rd, value)
-            self.pc = next_pc
-            self.instructions_executed += 1
-            return
-
-        if op == isa.OP_REGIMM:
-            offset = sign_extend(word & 0xFFFF, 16) << 2
-            value = to_signed32(regs[rs])
-            taken = value < 0 if rt == isa.RT_BLTZ else value >= 0
-            self.pc = (next_pc + offset) & _MASK32 if taken else next_pc
-            self.instructions_executed += 1
-            return
-
-        if op in (isa.OP_J, isa.OP_JAL):
-            target = isa.jump_target(pc, word & 0x3FFFFFF)
-            if op == isa.OP_JAL:
-                self.set_reg(isa.REG_RA, next_pc)
-            self.pc = target
-            self.instructions_executed += 1
-            return
-
-        imm = word & 0xFFFF
-        simm = sign_extend(imm, 16)
-
-        if op == isa.OP_BEQ or op == isa.OP_BNE:
-            taken = (regs[rs] == regs[rt]) == (op == isa.OP_BEQ)
-            self.pc = (next_pc + (simm << 2)) & _MASK32 if taken else next_pc
-            self.instructions_executed += 1
-            return
-        if op == isa.OP_BLEZ or op == isa.OP_BGTZ:
-            value = to_signed32(regs[rs])
-            taken = value <= 0 if op == isa.OP_BLEZ else value > 0
-            self.pc = (next_pc + (simm << 2)) & _MASK32 if taken else next_pc
-            self.instructions_executed += 1
-            return
-
-        if op == isa.OP_ADDI:
-            self.set_reg(rt, (regs[rs] + simm) & _MASK32)
-        elif op == isa.OP_SLTI:
-            self.set_reg(rt, 1 if to_signed32(regs[rs]) < simm else 0)
-        elif op == isa.OP_SLTIU:
-            self.set_reg(rt, 1 if regs[rs] < (simm & _MASK32) else 0)
-        elif op == isa.OP_ANDI:
-            self.set_reg(rt, regs[rs] & imm)
-        elif op == isa.OP_ORI:
-            self.set_reg(rt, regs[rs] | imm)
-        elif op == isa.OP_XORI:
-            self.set_reg(rt, regs[rs] ^ imm)
-        elif op == isa.OP_LUI:
-            self.set_reg(rt, (imm << 16) & _MASK32)
-        elif op == isa.OP_LW:
-            address = (regs[rs] + simm) & _MASK32
-            if address & 3:
-                raise AlignmentError(address, 4)
-            self.set_reg(rt, space.load_word(address))
-        elif op == isa.OP_LH or op == isa.OP_LHU:
-            address = (regs[rs] + simm) & _MASK32
-            if address & 1:
-                raise AlignmentError(address, 2)
-            value = space.load_half(address)
-            if op == isa.OP_LH:
-                value = sign_extend(value, 16) & _MASK32
-            self.set_reg(rt, value)
-        elif op == isa.OP_LB or op == isa.OP_LBU:
-            address = (regs[rs] + simm) & _MASK32
-            value = space.load_byte(address)
-            if op == isa.OP_LB:
-                value = sign_extend(value, 8) & _MASK32
-            self.set_reg(rt, value)
-        elif op == isa.OP_SW:
-            address = (regs[rs] + simm) & _MASK32
-            if address & 3:
-                raise AlignmentError(address, 4)
-            space.store_word(address, regs[rt])
-        elif op == isa.OP_SH:
-            address = (regs[rs] + simm) & _MASK32
-            if address & 1:
-                raise AlignmentError(address, 2)
-            space.write_bytes(
-                address, (regs[rt] & 0xFFFF).to_bytes(2, "little")
-            )
-        elif op == isa.OP_SB:
-            address = (regs[rs] + simm) & _MASK32
-            space.write_bytes(address, bytes([regs[rt] & 0xFF]))
-        else:
-            raise InvalidInstructionError(pc, word)
-
-        self.pc = next_pc
+                if budget > 1:
+                    block = decoded.block
+                    if block is None:
+                        decoded.heat -= 1
+                        if not decoded.heat:
+                            block = self._translate(space, entry, pc,
+                                                    decoded)
+                    if block is not None:
+                        block(self, space, budget)
+                        return
+                self.decode_hits += 1
+            space.tlb_hits += 1
+            handler = decoded.handler
+            fields = decoded.fields
+        self.pc = handler(self, space, pc, fields)
         self.instructions_executed += 1
+
+    @staticmethod
+    def _translate(space: AddressSpace, entry, pc: int, decoded: _Decoded):
+        """Attach to *decoded* the block its instruction at *pc* leads,
+        from the boot's translation cache or freshly compiled; None if
+        the run is shorter than two instructions."""
+        offset = pc & _PAGE_MASK
+        length = translate.block_length(entry[0], offset)
+        if length < 2:
+            return None
+        words = bytes(entry[0][offset: offset + 4 * length])
+        cache = space.physmem.translations
+        block = cache.get((pc, words))
+        if block is None:
+            block = cache[(pc, words)] = translate.compile_block(words, pc)
+        decoded.block = block
+        return block
 
     def run(self, max_instructions: int = 1_000_000) -> None:
         """Step until a trap or fault propagates, or the budget runs out.

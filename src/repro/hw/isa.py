@@ -1,4 +1,5 @@
-"""Instruction-set definition: encodings, register names, disassembly.
+"""Instruction-set definition: encodings, register names, traps, the
+semantics table and disassembly.
 
 32-bit fixed-width instructions, little-endian in memory. Three formats:
 
@@ -13,7 +14,7 @@ the top 4 bits — the R3000 region limit central to §3 of the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.util.bits import sign_extend
 
@@ -159,28 +160,195 @@ def branch_offset(pc: int, target: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# traps
+# ---------------------------------------------------------------------------
+
+class Trap(Exception):
+    """A synchronous event requiring kernel service."""
+
+    def __init__(self, pc: int) -> None:
+        super().__init__(f"{type(self).__name__} at pc=0x{pc:08x}")
+        self.pc = pc
+
+
+class SyscallTrap(Trap):
+    """The program executed ``syscall``."""
+
+
+class BreakTrap(Trap):
+    """The program executed ``break`` (used as an explicit halt/abort)."""
+
+
+class ArithmeticTrap(Trap):
+    """Integer divide or remainder by zero."""
+
+
+# ---------------------------------------------------------------------------
+# the semantics table
+# ---------------------------------------------------------------------------
+#
+# One row per instruction: mnemonic, format, control-flow class and a
+# Python-source semantic template. Both CPU execution tiers
+# (repro.hw.translate), the disassembler below and the CFG lint
+# (repro.analyze.cfg) read these rows; the CPU has no other copy of
+# what an instruction does.
+#
+# Templates are expressions over ``r`` (the register list), the decoded
+# fields ``rs rt rd sa imm tgt``, the pre-sign-extended immediate
+# ``simm``, the instruction's ``pc``, the fall-through ``npc`` and the
+# TEMPLATE_NAMES below. ``M`` is the 32-bit mask and ``B`` the sign bit,
+# so ``((x ^ B) - B)`` reads register ``x`` as a signed value. What the
+# expression means depends on the row's control-flow class and memory
+# column:
+#
+# * FALL: the value written to ``dst``; for a load, computed from the
+#   loaded value ``v``; for a store, the value stored at
+#   ``(r[rs] + simm) & M``;
+# * BRANCH: the taken condition (the target is ``npc + (simm << 2)``);
+# * JUMP and INDIRECT: the target address (a linking row writes ``npc``
+#   to ``dst``);
+# * TRAP: the name of the trap raised at ``pc``.
+
+FALL = "fall"          # execution continues at npc
+BRANCH = "branch"      # conditional, pc-relative
+JUMP = "jump"          # j/jal: absolute within the 256 MiB region
+INDIRECT = "indirect"  # jr/jalr: through a register
+TRAP = "trap"          # syscall/break: the kernel takes over
+
+
+class OpInfo(NamedTuple):
+    """One row of the semantics table."""
+
+    mnemonic: str
+    fmt: str                    # "R", "I" or "J"
+    flow: str                   # FALL, BRANCH, JUMP, INDIRECT or TRAP
+    dst: Optional[str]          # register written: "rd", "rt" or "31"
+    sem: str                    # semantic template (see above)
+    mem: Optional[Tuple[str, int]] = None   # ("load"|"store", size)
+
+    @property
+    def links(self) -> bool:
+        """A call: a transfer that leaves a return address behind."""
+        return self.flow in (JUMP, INDIRECT) and self.dst is not None
+
+
+_SIGNED_RS = "((r[rs] ^ B) - B)"
+_SIGNED_RT = "((r[rt] ^ B) - B)"
+
+#: SPECIAL (op 0) rows, by funct.
+FUNCTS: Dict[int, OpInfo] = {
+    FN_SLL: OpInfo("sll", "R", FALL, "rd", "(r[rt] << sa) & M"),
+    FN_SRL: OpInfo("srl", "R", FALL, "rd", "r[rt] >> sa"),
+    FN_SRA: OpInfo("sra", "R", FALL, "rd", f"({_SIGNED_RT} >> sa) & M"),
+    FN_SLLV: OpInfo("sllv", "R", FALL, "rd",
+                    "(r[rt] << (r[rs] & 31)) & M"),
+    FN_SRLV: OpInfo("srlv", "R", FALL, "rd", "r[rt] >> (r[rs] & 31)"),
+    FN_SRAV: OpInfo("srav", "R", FALL, "rd",
+                    f"({_SIGNED_RT} >> (r[rs] & 31)) & M"),
+    FN_JR: OpInfo("jr", "R", INDIRECT, None, "r[rs]"),
+    FN_JALR: OpInfo("jalr", "R", INDIRECT, "rd", "r[rs]"),
+    FN_SYSCALL: OpInfo("syscall", "R", TRAP, None, "SyscallTrap"),
+    FN_BREAK: OpInfo("break", "R", TRAP, None, "BreakTrap"),
+    FN_MUL: OpInfo("mul", "R", FALL, "rd", "(r[rs] * r[rt]) & M"),
+    # Divide by zero traps (``_fpe``); the quotient truncates toward
+    # zero and the remainder takes the dividend's sign.
+    FN_DIV: OpInfo("div", "R", FALL, "rd",
+                   f"int({_SIGNED_RS} / {_SIGNED_RT}) & M "
+                   f"if r[rt] else _fpe(pc)"),
+    FN_REM: OpInfo("rem", "R", FALL, "rd",
+                   f"_rem({_SIGNED_RS}, {_SIGNED_RT}) & M "
+                   f"if r[rt] else _fpe(pc)"),
+    FN_ADD: OpInfo("add", "R", FALL, "rd", "(r[rs] + r[rt]) & M"),
+    FN_SUB: OpInfo("sub", "R", FALL, "rd", "(r[rs] - r[rt]) & M"),
+    FN_AND: OpInfo("and", "R", FALL, "rd", "r[rs] & r[rt]"),
+    FN_OR: OpInfo("or", "R", FALL, "rd", "r[rs] | r[rt]"),
+    FN_XOR: OpInfo("xor", "R", FALL, "rd", "r[rs] ^ r[rt]"),
+    FN_NOR: OpInfo("nor", "R", FALL, "rd", "~(r[rs] | r[rt]) & M"),
+    FN_SLT: OpInfo("slt", "R", FALL, "rd",
+                   "1 if (r[rs] ^ B) < (r[rt] ^ B) else 0"),
+    FN_SLTU: OpInfo("sltu", "R", FALL, "rd", "1 if r[rs] < r[rt] else 0"),
+}
+
+#: REGIMM (op 1) rows, by the rt field. The CPU executes any rt other
+#: than RT_BLTZ as bgez (see :func:`regimm_row`).
+REGIMM: Dict[int, OpInfo] = {
+    RT_BLTZ: OpInfo("bltz", "I", BRANCH, None, f"{_SIGNED_RS} < 0"),
+    RT_BGEZ: OpInfo("bgez", "I", BRANCH, None, f"{_SIGNED_RS} >= 0"),
+}
+
+#: Every other row, by primary opcode.
+OPCODES: Dict[int, OpInfo] = {
+    OP_J: OpInfo("j", "J", JUMP, None, "(npc & 0xF0000000) | (tgt << 2)"),
+    OP_JAL: OpInfo("jal", "J", JUMP, "31",
+                   "(npc & 0xF0000000) | (tgt << 2)"),
+    OP_BEQ: OpInfo("beq", "I", BRANCH, None, "r[rs] == r[rt]"),
+    OP_BNE: OpInfo("bne", "I", BRANCH, None, "r[rs] != r[rt]"),
+    OP_BLEZ: OpInfo("blez", "I", BRANCH, None, f"{_SIGNED_RS} <= 0"),
+    OP_BGTZ: OpInfo("bgtz", "I", BRANCH, None, f"{_SIGNED_RS} > 0"),
+    OP_ADDI: OpInfo("addi", "I", FALL, "rt", "(r[rs] + simm) & M"),
+    OP_SLTI: OpInfo("slti", "I", FALL, "rt",
+                    f"1 if {_SIGNED_RS} < simm else 0"),
+    OP_SLTIU: OpInfo("sltiu", "I", FALL, "rt",
+                     "1 if r[rs] < (simm & M) else 0"),
+    OP_ANDI: OpInfo("andi", "I", FALL, "rt", "r[rs] & imm"),
+    OP_ORI: OpInfo("ori", "I", FALL, "rt", "r[rs] | imm"),
+    OP_XORI: OpInfo("xori", "I", FALL, "rt", "r[rs] ^ imm"),
+    OP_LUI: OpInfo("lui", "I", FALL, "rt", "(imm << 16) & M"),
+    OP_LB: OpInfo("lb", "I", FALL, "rt", "((v ^ 0x80) - 0x80) & M",
+                  ("load", 1)),
+    OP_LH: OpInfo("lh", "I", FALL, "rt", "((v ^ 0x8000) - 0x8000) & M",
+                  ("load", 2)),
+    OP_LW: OpInfo("lw", "I", FALL, "rt", "v", ("load", 4)),
+    OP_LBU: OpInfo("lbu", "I", FALL, "rt", "v", ("load", 1)),
+    OP_LHU: OpInfo("lhu", "I", FALL, "rt", "v", ("load", 2)),
+    OP_SB: OpInfo("sb", "I", FALL, None, "r[rt] & 0xFF", ("store", 1)),
+    OP_SH: OpInfo("sh", "I", FALL, None, "r[rt] & 0xFFFF", ("store", 2)),
+    OP_SW: OpInfo("sw", "I", FALL, None, "r[rt]", ("store", 4)),
+}
+
+
+def _fpe(pc: int) -> int:
+    raise ArithmeticTrap(pc)
+
+
+def _rem(a: int, b: int) -> int:
+    return a - int(a / b) * b
+
+
+#: The names templates use besides the fields, ``r``, ``v`` and ``int``.
+TEMPLATE_NAMES = {
+    "M": 0xFFFFFFFF, "B": 0x80000000,
+    "_fpe": _fpe, "_rem": _rem,
+    "SyscallTrap": SyscallTrap, "BreakTrap": BreakTrap,
+}
+
+
+def regimm_row(rt: int) -> OpInfo:
+    """The REGIMM row the CPU executes for *rt*: bltz for RT_BLTZ,
+    bgez for every other value."""
+    return REGIMM[RT_BLTZ if rt == RT_BLTZ else RT_BGEZ]
+
+
+def lookup(word: int) -> Optional[OpInfo]:
+    """The table row *word* encodes, or None if it encodes none."""
+    op = (word >> 26) & 0x3F
+    if op == OP_SPECIAL:
+        return FUNCTS.get(word & 0x3F)
+    if op == OP_REGIMM:
+        return REGIMM.get((word >> 16) & 31)
+    return OPCODES.get(op)
+
+
+# ---------------------------------------------------------------------------
 # disassembly
 # ---------------------------------------------------------------------------
 
-_R_NAMES = {
-    FN_SLL: "sll", FN_SRL: "srl", FN_SRA: "sra",
-    FN_SLLV: "sllv", FN_SRLV: "srlv", FN_SRAV: "srav",
-    FN_JR: "jr", FN_JALR: "jalr", FN_SYSCALL: "syscall",
-    FN_BREAK: "break", FN_MUL: "mul", FN_DIV: "div", FN_REM: "rem",
-    FN_ADD: "add", FN_SUB: "sub", FN_AND: "and", FN_OR: "or",
-    FN_XOR: "xor", FN_NOR: "nor", FN_SLT: "slt", FN_SLTU: "sltu",
-}
+_R_NAMES = {funct: row.mnemonic for funct, row in FUNCTS.items()}
+_I_NAMES = {op: row.mnemonic for op, row in OPCODES.items()
+            if row.fmt == "I"}
 
-_I_NAMES = {
-    OP_BEQ: "beq", OP_BNE: "bne", OP_BLEZ: "blez", OP_BGTZ: "bgtz",
-    OP_ADDI: "addi", OP_SLTI: "slti", OP_SLTIU: "sltiu",
-    OP_ANDI: "andi", OP_ORI: "ori", OP_XORI: "xori", OP_LUI: "lui",
-    OP_LB: "lb", OP_LH: "lh", OP_LW: "lw", OP_LBU: "lbu", OP_LHU: "lhu",
-    OP_SB: "sb", OP_SH: "sh", OP_SW: "sw",
-}
-
-_LOADSTORE_OPS = {OP_LB, OP_LH, OP_LW, OP_LBU, OP_LHU, OP_SB, OP_SH, OP_SW}
-_BRANCH2_OPS = {OP_BEQ, OP_BNE}
+_LOADSTORE_OPS = {op for op, row in OPCODES.items() if row.mem}
+_BRANCH2_OPS = {OP_BEQ, OP_BNE}      # the branches that compare two registers
 _BRANCH1_OPS = {OP_BLEZ, OP_BGTZ}
 
 
@@ -215,11 +383,11 @@ def disassemble_word(word: int, pc: int = 0) -> str:
         return f"{name} {n[rd]}, {n[rs]}, {n[rt]}"
     if op == OP_REGIMM:
         target = pc + 4 + (simm << 2)
-        name = "bltz" if rt == RT_BLTZ else "bgez"
+        name = regimm_row(rt).mnemonic
         return f"{name} {n[rs]}, 0x{target:x}"
     if op in (OP_J, OP_JAL):
         target = jump_target(pc, word & 0x3FFFFFF)
-        return f"{'j' if op == OP_J else 'jal'} 0x{target:x}"
+        return f"{OPCODES[op].mnemonic} 0x{target:x}"
     name = _I_NAMES.get(op)
     if name is None:
         return f".word 0x{word:08x}"

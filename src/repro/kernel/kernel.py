@@ -477,17 +477,27 @@ class Kernel:
         charge executed instructions (blocked in a syscall, or killed by
         a fault/trap); True otherwise — the caller charges the executed
         count when the whole quantum is done. The SMP scheduler calls
-        this with sub-quantum targets; because the instruction counter
-        only advances on a successful step (which also resets the fault
-        streak), a chunk boundary never lands mid-fault-retry, making
-        chunked execution bit-identical to one uninterrupted slice.
+        this with sub-quantum targets.
+
+        Each ``step`` gets the rest of the target as its budget, so a
+        translated block never runs past the chunk boundary. A step
+        that faults has executed fewer instructions than its budget, so
+        the boundary never lands mid-fault-retry either, making chunked
+        execution bit-identical to one uninterrupted slice. The fault
+        streak counts consecutive faults with no instruction completed
+        between them: a step that made progress before it faulted
+        resets it, exactly as the single-instruction steps it stands for
+        would have.
         """
         cpu = proc.cpu
         fault_streak = 0
-        while cpu.instructions_executed - start < target \
-                and proc.state is ProcessState.READY:
+        while proc.state is ProcessState.READY:
+            before = cpu.instructions_executed
+            budget = target - (before - start)
+            if budget <= 0:
+                break
             try:
-                cpu.step()
+                cpu.step(budget)
                 fault_streak = 0
             except SyscallTrap:
                 try:
@@ -496,6 +506,8 @@ class Kernel:
                     self._block(proc, "syscall")
                     return False
             except PageFaultError as fault:
+                if cpu.instructions_executed != before:
+                    fault_streak = 0
                 if self.deliver_fault(proc, fault):
                     fault_streak += 1
                     if fault_streak > MAX_FAULT_RETRIES:

@@ -30,10 +30,11 @@ that equivalence exact:
 * instructions are charged once at the end of a process's quantum
   (never per chunk), and not at all when the quantum ends by blocking
   or a kill — exactly the classic ``_run_machine_slice`` contract;
-* a chunk boundary can only fall immediately after a *successful*
-  ``Cpu.step()`` (traps and faults do not advance the instruction
-  counter), and a successful step resets the fault streak, so starting
-  each chunk with a zero streak is exact, not approximate;
+* each ``Cpu.step`` gets what is left of the chunk as its budget, so a
+  chunk boundary can only fall immediately after a step that returned
+  normally (a step that traps or faults completes fewer instructions
+  than its budget), and such a step resets the fault streak, so
+  starting each chunk with a zero streak is exact, not approximate;
 * the SWITCH span opens at quantum start and closes at quantum end
   (spans carry their entry cycle and emit one event on exit, so
   interleaved per-core spans need no nesting stack);

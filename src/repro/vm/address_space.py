@@ -144,6 +144,11 @@ class AddressSpace:
         self.smp = None  # SmpCoordinator on multi-core boots
         self.core = 0  # owning process's home core (repro.smp)
 
+    @property
+    def physmem(self) -> PhysicalMemory:
+        """The physical memory this space allocates frames from."""
+        return self._physmem
+
     # ------------------------------------------------------------------
     # mapping management
     # ------------------------------------------------------------------

@@ -24,7 +24,12 @@ class Frame:
     """One physical page frame: PAGE_SIZE bytes plus a reference count.
 
     ``decode`` is the per-frame decoded-instruction cache: page offset →
-    predecoded instruction tuple, filled by the CPU fast path. Any write
+    the CPU's entry for the instruction there (its cold-tier handler and
+    fields, how often it was entered, and the translated block it leads
+    once hot; see :mod:`repro.hw.cpu`), filled by the CPU fast path. The
+    compiled blocks themselves live in the boot-wide
+    :attr:`PhysicalMemory.translations`, so clearing ``decode`` only
+    drops this frame's references to them. Any write
     to ``data`` must clear it (all writers go through
     :meth:`AddressSpace.write_bytes <repro.vm.address_space.AddressSpace.write_bytes>`
     or :class:`MemoryObject`, which do), so stale decodes can never
@@ -59,12 +64,18 @@ class PhysicalMemory:
     The frame limit defaults to 256 Mi worth of pages — generous for the
     simulation but finite, so runaway mappings surface as
     :class:`OutOfMemoryError` rather than host memory exhaustion.
+
+    ``translations`` is the boot's cache of translated blocks (see
+    :mod:`repro.hw.translate`), keyed by ``(base pc, instruction
+    words)``: processes running the same text at the same address, each
+    from its own private frame, share one compiled block.
     """
 
     def __init__(self, max_frames: int = (256 << 20) // PAGE_SIZE) -> None:
         self.max_frames = max_frames
         self.allocated = 0
         self.peak = 0
+        self.translations: Dict[tuple, object] = {}
 
     def alloc(self, data: Optional[bytes] = None) -> Frame:
         """Allocate a zeroed (or initialized) frame with refcount 1."""

@@ -4,19 +4,24 @@ Programs are assembled, manually placed at fixed addresses (no linker —
 these tests sit below it), and run until a trap.
 """
 
+import itertools
+import random
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import (
     AlignmentError,
     ExecutionBudgetExceeded,
+    HardwareError,
     InvalidInstructionError,
 )
 from repro.hw.asm import assemble
-from repro.hw.cpu import ArithmeticTrap, BreakTrap, Cpu, SyscallTrap
+from repro.hw.cpu import ArithmeticTrap, BreakTrap, Cpu, SyscallTrap, Trap
 from repro.hw import isa
 from repro.objfile.format import RelocType
 from repro.util.bits import hi16, lo16
-from repro.vm.address_space import AddressSpace, PROT_RWX
+from repro.vm.address_space import AddressSpace, PROT_RW, PROT_RWX
 from repro.vm.faults import PageFaultError
 from repro.vm.pages import PhysicalMemory
 
@@ -365,3 +370,231 @@ class TestTraps:
         cpu.pc = 0x1002
         with pytest.raises(AlignmentError):
             cpu.step()
+
+
+# ---------------------------------------------------------------------------
+# translated blocks against the plain interpreter
+# ---------------------------------------------------------------------------
+
+UNMAPPED = 0x5000
+_SCRATCH = list(range(8, 16))         # t0..t7: what the body computes with
+_COUNTER, _DATA_BASE, _NEXT = 25, 16, 19
+_LIMIT = 3000
+_KINDS = (["alu"] * 3 + ["alui"] * 3 + ["load", "store"] * 2
+          + ["branch"] * 2 + ["jump", "indirect", "late"])
+_ALU_FUNCTS = [funct for funct, row in isa.FUNCTS.items()
+               if row.flow == isa.FALL]
+_ALU_OPS = [op for op, row in isa.OPCODES.items()
+            if row.flow == isa.FALL and row.mem is None]
+_LOADS = [op for op, row in isa.OPCODES.items()
+          if row.mem and row.mem[0] == "load"]
+_STORES = [op for op, row in isa.OPCODES.items()
+           if row.mem and row.mem[0] == "store"]
+_BRANCHES = [isa.OP_BEQ, isa.OP_BNE, isa.OP_BLEZ, isa.OP_BGTZ]
+
+
+def _late_access(draw, size: int, reg) -> list:
+    """Four instructions: a data access that, in the loop's last few
+    iterations only, is redirected (branch-free, so inside whatever
+    block holds it) to the unmapped page, to a misaligned address, or
+    into the loop's own text."""
+    at = isa.REG_AT
+    late = isa.encode_i(isa.OP_SLTI, rs=_COUNTER, rt=at,
+                        imm=draw(st.integers(1, 10)))
+    shift = isa.encode_r(isa.FN_SLL, rd=at, rt=at, shamt=13)  # 0x2000
+    where = draw(st.sampled_from(["hole", "misaligned", "text"]))
+    if where == "hole":          # DATA + 0x2000 = UNMAPPED
+        op = draw(st.sampled_from(_LOADS + _STORES))
+        return [late, shift,
+                isa.encode_r(isa.FN_ADD, rd=at, rs=at, rt=_DATA_BASE),
+                isa.encode_i(op, rs=at, rt=draw(reg),
+                             imm=draw(st.integers(0, 1023)) * 4)]
+    if where == "misaligned":    # DATA + 1
+        op = draw(st.sampled_from([isa.OP_LW, isa.OP_LH, isa.OP_LHU,
+                                   isa.OP_SW, isa.OP_SH]))
+        return [late, isa.encode_r(isa.FN_SLL, rd=at, rt=at),
+                isa.encode_r(isa.FN_ADD, rd=at, rs=at, rt=_DATA_BASE),
+                isa.encode_i(op, rs=at, rt=draw(reg),
+                             imm=draw(st.integers(0, 1023)) * 4)]
+    # DATA - 0x2000 = TEXT: overwrite one of the loop's words with a nop
+    return [late, shift,
+            isa.encode_r(isa.FN_SUB, rd=at, rs=_DATA_BASE, rt=at),
+            isa.encode_i(isa.OP_SW, rs=at, rt=0,
+                         imm=4 * draw(st.integers(0, size + 1)))]
+
+
+@st.composite
+def _programs(draw):
+    """A loop of random instructions: ALU work, loads and stores on a
+    data page, forward and backward branches, forward jumps, and
+    accesses that fault, trap or rewrite the loop's own text once its
+    blocks are hot. The body never writes the loop counter, ``at`` or
+    the base registers."""
+    kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=1,
+                          max_size=12))
+    size = len(kinds) + 3 * kinds.count("late")
+    reg = st.sampled_from(_SCRATCH)
+    src = st.sampled_from([0] + _SCRATCH * 3)
+    body: list = []
+    for kind in kinds:
+        index = len(body)
+        if kind == "alu":
+            body.append(isa.encode_r(
+                draw(st.sampled_from(_ALU_FUNCTS)),
+                rd=draw(st.sampled_from([0] + _SCRATCH)), rs=draw(src),
+                rt=draw(src), shamt=draw(st.integers(0, 31))))
+        elif kind == "alui":
+            body.append(isa.encode_i(
+                draw(st.sampled_from(_ALU_OPS)), rs=draw(src),
+                rt=draw(reg), imm=draw(st.integers(0, 0xFFFF))))
+        elif kind in ("load", "store"):
+            op = draw(st.sampled_from(_LOADS if kind == "load"
+                                      else _STORES))
+            body.append(isa.encode_i(op, rs=_DATA_BASE, rt=draw(reg),
+                                     imm=draw(st.integers(0, 1023)) * 4))
+        elif kind == "late":
+            body += _late_access(draw, size, reg)
+        elif kind == "branch":
+            skip = draw(st.integers(-index - 1, size - index - 1))
+            body.append(isa.encode_i(
+                draw(st.sampled_from(_BRANCHES)), rs=draw(src),
+                rt=draw(src), imm=skip & 0xFFFF))
+        elif kind == "jump":
+            target = TEXT + 4 * draw(st.integers(index + 1, size))
+            op = draw(st.sampled_from([isa.OP_J, isa.OP_JAL]))
+            body.append(isa.encode_j(op, isa.jump_field(target)))
+        else:
+            # Continue the loop through a register holding its tail.
+            body.append(isa.encode_r(
+                draw(st.sampled_from([isa.FN_JR, isa.FN_JALR])),
+                rd=draw(reg), rs=_NEXT))
+    assert len(body) == size
+    tail = [isa.encode_i(isa.OP_ADDI, rs=_COUNTER, rt=_COUNTER,
+                         imm=0xFFFF),
+            isa.encode_i(isa.OP_BGTZ, rs=_COUNTER,
+                         imm=(-size - 2) & 0xFFFF),
+            isa.encode_r(isa.FN_SYSCALL)]
+    regs = [0] * 32
+    for index in _SCRATCH:
+        regs[index] = draw(st.integers(0, 0xFFFFFFFF))
+    regs[_COUNTER] = draw(st.integers(30, 60))
+    regs[_DATA_BASE], regs[_NEXT] = DATA, TEXT + 4 * size
+    return body + tail, regs, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _execute(program, budgets=None):
+    """Run *program* to its syscall, a fatal trap or _LIMIT
+    instructions; the first fault on the unmapped page maps it and
+    restarts the instruction. With *budgets*, each step gets the next
+    budget (capped at what is left of the limit)."""
+    words, regs, seed = program
+    space = AddressSpace(PhysicalMemory(), tlb_enabled=True)
+    space.map(TEXT, 0x1000, prot=PROT_RWX)
+    space.map(DATA, 0x1000, prot=PROT_RW)
+    space.write_bytes(TEXT, b"".join(w.to_bytes(4, "little")
+                                     for w in words))
+    space.write_bytes(DATA, random.Random(seed).randbytes(0x1000))
+    cpu = Cpu(space)
+    cpu.pc = TEXT
+    cpu.regs[:] = regs
+    outcome = "limit"
+    while cpu.instructions_executed < _LIMIT:
+        try:
+            if budgets is None:
+                cpu.step()
+            else:
+                cpu.step(min(next(budgets),
+                             _LIMIT - cpu.instructions_executed))
+        except PageFaultError as fault:
+            if fault.address >> 12 == UNMAPPED >> 12 \
+                    and not space.is_mapped(UNMAPPED):
+                space.map(UNMAPPED, 0x1000, prot=PROT_RW)
+                continue
+            outcome = f"fault 0x{fault.address:x}"
+            break
+        except (Trap, HardwareError) as error:
+            outcome = f"{type(error).__name__}: {error}"
+            break
+    memory = b"".join(
+        space.read_bytes(page, 0x1000, force=True)
+        for page in (TEXT, DATA, UNMAPPED) if space.is_mapped(page))
+    return {"outcome": outcome, "regs": list(cpu.regs), "pc": cpu.pc,
+            "instructions": cpu.instructions_executed,
+            "tlb_hits": space.tlb_hits, "memory": memory,
+            "translated": len(space.physmem.translations)}
+
+
+class TestTranslatedBlocks:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(program=_programs(),
+           budgets=st.lists(st.integers(1, 40), min_size=1, max_size=8))
+    def test_blocks_match_single_steps(self, program, budgets):
+        stepped = _execute(program)
+        blocked = _execute(program, itertools.cycle(budgets))
+        assert stepped.pop("translated") == 0
+        blocked.pop("translated")
+        assert blocked == stepped
+
+    # Hot loops (t9 counts the iterations down from 40) whose last
+    # iterations do something a translated block must reproduce exactly.
+    _HOT_LOOPS = {
+        "plain": ("""
+            top: lw t0, 0(s0)
+                 add t1, t1, t0
+                 sw t1, 4(s0)
+                 addi t9, t9, -1
+                 bgtz t9, top
+                 syscall
+            """, "SyscallTrap"),
+        # the fifth instruction of the block faults on an unmapped page
+        "fault": ("""
+            top: lw t0, 0(s0)
+                 slti at, t9, 3
+                 sll at, at, 13
+                 add at, at, s0
+                 lw t1, 8(at)
+                 add t2, t2, t1
+                 addi t9, t9, -1
+                 bgtz t9, top
+                 syscall
+            """, "SyscallTrap"),
+        # the block's fourth instruction turns its sixth into a nop
+        "self-modifying": ("""
+            top: slti at, t9, 3
+                 sll at, at, 13
+                 sub at, s0, at
+                 sw zero, 20(at)
+                 addi t3, t3, 1
+                 addi t2, t2, 1
+                 addi t9, t9, -1
+                 bgtz t9, top
+                 syscall
+            """, "SyscallTrap"),
+        "misaligned": ("""
+            top: addi t3, t3, 1
+                 slti at, t9, 3
+                 add at, at, s0
+                 lw t1, 0(at)
+                 addi t9, t9, -1
+                 bgtz t9, top
+                 syscall
+            """, "AlignmentError"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_HOT_LOOPS))
+    def test_hot_loop_runs_translated(self, name):
+        source, outcome = self._HOT_LOOPS[name]
+        text = bytes(assemble(".text\n" + source).text)
+        words = [int.from_bytes(text[at: at + 4], "little")
+                 for at in range(0, len(text), 4)]
+        regs = [0] * 32
+        regs[_COUNTER], regs[_DATA_BASE] = 40, DATA
+        program = (words, regs, 1)
+        stepped = _execute(program)
+        assert stepped.pop("translated") == 0
+        assert stepped["outcome"].startswith(outcome)
+        for budgets in ([1000], [7, 3, 1, 12]):
+            blocked = _execute(program, itertools.cycle(budgets))
+            assert blocked.pop("translated") >= 1
+            assert blocked == stepped

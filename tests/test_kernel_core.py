@@ -10,6 +10,7 @@ from repro.kernel.signals import Signal
 from repro.kernel.timing import Clock, CostModel
 from repro.linker.baseline_ld import link_static
 from repro.runtime.libshared import attach_runtime
+from repro.session import Session
 from repro.vm.faults import AccessKind, PageFaultError
 
 
@@ -209,6 +210,58 @@ class TestFaults:
         kernel.run_until_exit(proc)
         assert proc.exit_code == -1
         assert "fault loop" in proc.death_reason
+
+    def _redirecting_fault_loop(self, tlb: bool) -> dict:
+        """A loop whose body faults after one completed instruction on
+        every iteration; the handler restarts the body instead of
+        fixing the access, until the counter runs out."""
+        source = """
+            .text
+            .globl main
+        main:
+            li t0, 100
+            li t2, 0x20000000
+        top:
+            addi t0, t0, -1
+            lw t1, 0(t2)
+            move v0, t1
+            jr ra
+        """
+        with Session(tlb=tlb).run():
+            kernel = Kernel()
+            proc = kernel.create_machine_process(
+                "p", link_static([assemble(source, "m.o")]))
+            faults = []
+
+            def handler(process, info):
+                faults.append(info.pc)
+                cpu = process.cpu
+                if cpu.regs[8]:            # t0: iterations left
+                    cpu.pc = info.pc - 4   # back to top
+                else:
+                    process.address_space.map(0x20000000, 4096, prot=0x7)
+                    process.address_space.store_word(0x20000000, 77,
+                                                     force=True)
+                return True
+
+            proc.push_handler(Signal.SIGSEGV, handler)
+            kernel.run_until_exit(proc)
+            return {"exit": proc.exit_code, "reason": proc.death_reason,
+                    "faults": len(faults),
+                    "instructions": proc.cpu.instructions_executed,
+                    "cycles": kernel.clock.cycles,
+                    "by_category": dict(kernel.clock.by_category)}
+
+    def test_faults_after_progress_do_not_count_as_a_loop(self):
+        """Regression: a step that completes instructions and then
+        faults made progress, so it resets the fault streak. Otherwise
+        a translated loop body that faults after its first instruction
+        would be killed as a fault loop after 64 iterations."""
+        translated = self._redirecting_fault_loop(tlb=True)
+        interpreted = self._redirecting_fault_loop(tlb=False)
+        assert translated["exit"] == 77, translated["reason"]
+        assert translated["faults"] == 100
+        assert translated == interpreted
 
     def test_run_with_faults_native(self):
         kernel = Kernel()

@@ -34,8 +34,11 @@ from repro.bench.workloads import (
     make_shell,
 )
 from repro.errors import KernelError
+from repro.hw import isa
+from repro.hw.asm import assemble
 from repro.kernel.smp import SMP_SUBQUANTUM, SmpCoordinator
 from repro.kernel.sync import WaitQueue
+from repro.linker.baseline_ld import link_static
 from repro.rr import record_call, replay_call, seek_call
 from repro.runtime.shmalloc import (
     ArenaHeap,
@@ -57,12 +60,14 @@ from repro.session import Session
 from repro.trace import tracing
 from repro.vm.address_space import (
     AddressSpace,
+    MAP_SHARED,
     PROT_READ,
     PROT_RW,
+    PROT_RWX,
     PROT_WRITE,
 )
 from repro.vm.layout import PAGE_SHIFT, PAGE_SIZE
-from repro.vm.pages import PhysicalMemory
+from repro.vm.pages import MemoryObject, PhysicalMemory
 
 #: The module-fanout cycle pin shared with A7/A8/A9/A10/E10/E11 — the
 #: exact total the seed scheduler produces. ``boot(ncores=1)`` must hit
@@ -409,6 +414,108 @@ class TestTlbShadowOracle:
         finally:
             kernel.clock.current_core = None
         assert smp.tlb_shootdowns == {0: 3, 1: 0}
+
+
+# ---------------------------------------------------------------------------
+# translated blocks under SMP
+# ---------------------------------------------------------------------------
+
+_HOT_TEXT = 0x30000000
+_HOT_LOOP = """
+    .text
+loop:
+    addi v0, v0, 1          # the patcher rewrites this to add 1000
+    addi t0, t0, -1
+    bgtz t0, loop
+    sw v0, 0x800(t9)
+    jr ra
+"""
+_HOT_MAIN = """
+    .text
+    .globl main
+main:
+    move s0, ra
+    li t0, 3000
+    move v0, zero
+    li t9, 0x30000000
+    jalr t9
+    move ra, s0
+    jr ra
+"""
+
+#: The parallel makespan of the compute-bound Presto instance phase
+#: (8 workers, 64 items, 600 iterations) per core count; the E12 pins.
+_E12_MAKESPANS = {1: 1_901_742, 2: 1_076_366, 4: 653_166, 8: 439_878}
+
+
+def _cross_core_patch(tlb: bool) -> dict:
+    """A looping process on one core while a native process on another
+    core rewrites the loop's first instruction through a shared
+    mapping of the same text frame."""
+    with Session(tlb=tlb).run():
+        kernel = boot(ncores=4).kernel
+        text = MemoryObject(kernel.physmem, PAGE_SIZE, "hot-text")
+        text.write(0, bytes(assemble(_HOT_LOOP).text))
+        looper = kernel.create_machine_process(
+            "looper", link_static([assemble(_HOT_MAIN, "main.o")]))
+        looper.address_space.map(_HOT_TEXT, PAGE_SIZE, memobj=text,
+                                 prot=PROT_RWX, flags=MAP_SHARED,
+                                 name="hot-text")
+
+        def patcher(_kernel, proc):
+            space = proc.address_space
+            space.map(_HOT_TEXT, PAGE_SIZE, memobj=text, prot=PROT_RW,
+                      flags=MAP_SHARED, name="hot-text")
+            for _ in range(4):
+                yield
+            space.store_word(_HOT_TEXT, isa.encode_i(
+                isa.OP_ADDI, rs=isa.REG_V0, rt=isa.REG_V0, imm=1000))
+
+        other = kernel.create_native_process("patcher", patcher)
+        assert looper.core != other.core
+        code = kernel.run_until_exit(looper)
+        return {
+            "exit": code,
+            "v0": int.from_bytes(text.read(0x800, 4), "little"),
+            "cycles": kernel.clock.cycles,
+            "elapsed": kernel.clock.elapsed,
+            "decode_shootdowns": dict(kernel.smp.decode_shootdowns),
+            "translated": any(pc == _HOT_TEXT
+                              for pc, _words in kernel.physmem.translations),
+        }
+
+
+class TestTranslatedBlocks:
+    def test_cross_core_store_reaches_a_hot_translated_loop(self):
+        translated = _cross_core_patch(tlb=True)
+        interpreted = _cross_core_patch(tlb=False)
+        # The loop ran as a translated block before the patch landed...
+        assert translated["translated"]
+        assert not interpreted["translated"]
+        # ...and picked up the new instruction exactly where the plain
+        # interpreter does: 2,748 iterations add 1, the other 252 add
+        # 1000.
+        expected = 2748 + 1000 * (3000 - 2748)
+        for run in (translated, interpreted):
+            assert run["v0"] == run["exit"] == expected
+        for key in ("cycles", "elapsed"):
+            assert translated[key] == interpreted[key]
+        # One shootdown, charged to the looping core; with the TLB off
+        # no decoded instructions are cached, so there is none.
+        assert translated["decode_shootdowns"] == {0: 0, 1: 1, 2: 0, 3: 0}
+        assert interpreted["decode_shootdowns"] == {0: 0, 1: 0, 2: 0, 3: 0}
+
+    def test_compute_presto_makespans_are_pinned(self):
+        for ncores, makespan in _E12_MAKESPANS.items():
+            kernel = boot(ncores=ncores).kernel
+            shell = make_shell(kernel)
+            app = PrestoApp(kernel, shell, nitems=64, compute_iters=600)
+            start = kernel.clock.elapsed
+            result = app.run_instance(nworkers=8)
+            assert result.total == app.expected_total()
+            assert kernel.clock.elapsed - start == makespan, ncores
+            if kernel.smp is not None:
+                assert not any(kernel.smp.decode_shootdowns.values())
 
 
 # ---------------------------------------------------------------------------
