@@ -117,6 +117,9 @@ def _decode(obj: ObjectFile, text: bytes, base: int,
 
 
 def _word_decodes(word: int) -> bool:
+    # Stricter than the CPU, which runs any REGIMM rt as bltz or bgez.
+    if (word >> 26) & 0x3F == isa.OP_REGIMM:
+        return (word >> 16) & 31 in isa.REGIMM
     return isa.lookup(word) is not None
 
 

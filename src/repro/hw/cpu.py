@@ -47,14 +47,21 @@ class _Decoded:
     """One ``Frame.decode`` entry: a decoded instruction and, once it has
     been re-entered :data:`HOT_ENTRIES` times with a budget, the
     translated block it leads (None while cold, and for good if the run
-    is too short to be worth one)."""
+    is too short to be worth one).
 
-    __slots__ = ("handler", "fields", "heat", "block")
+    The handler and fields do not depend on where the frame is mapped;
+    the block does (its PCs are literals), so ``block_pc`` records the
+    address it was compiled for. A frame mapped executable at two
+    addresses swaps in the other address's block when entered there.
+    """
+
+    __slots__ = ("handler", "fields", "heat", "block", "block_pc")
 
     def __init__(self, word: int) -> None:
         self.handler, self.fields = translate.decode(word)
         self.heat = HOT_ENTRIES
         self.block = None
+        self.block_pc = None
 
 
 class Cpu:
@@ -138,6 +145,8 @@ class Cpu:
                         if not decoded.heat:
                             block = self._translate(space, entry, pc,
                                                     decoded)
+                    elif decoded.block_pc != pc:
+                        block = self._translate(space, entry, pc, decoded)
                     if block is not None:
                         block(self, space, budget)
                         return
@@ -163,6 +172,7 @@ class Cpu:
         if block is None:
             block = cache[(pc, words)] = translate.compile_block(words, pc)
         decoded.block = block
+        decoded.block_pc = pc
         return block
 
     def run(self, max_instructions: int = 1_000_000) -> None:

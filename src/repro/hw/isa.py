@@ -270,7 +270,7 @@ FUNCTS: Dict[int, OpInfo] = {
 }
 
 #: REGIMM (op 1) rows, by the rt field. The CPU executes any rt other
-#: than RT_BLTZ as bgez (see :func:`regimm_row`).
+#: than RT_BLTZ as bgez (see :func:`lookup`).
 REGIMM: Dict[int, OpInfo] = {
     RT_BLTZ: OpInfo("bltz", "I", BRANCH, None, f"{_SIGNED_RS} < 0"),
     RT_BGEZ: OpInfo("bgez", "I", BRANCH, None, f"{_SIGNED_RS} >= 0"),
@@ -323,19 +323,16 @@ TEMPLATE_NAMES = {
 }
 
 
-def regimm_row(rt: int) -> OpInfo:
-    """The REGIMM row the CPU executes for *rt*: bltz for RT_BLTZ,
-    bgez for every other value."""
-    return REGIMM[RT_BLTZ if rt == RT_BLTZ else RT_BGEZ]
-
-
 def lookup(word: int) -> Optional[OpInfo]:
-    """The table row *word* encodes, or None if it encodes none."""
+    """The table row the CPU executes for *word*, or None if it raises
+    :class:`InvalidInstructionError` instead. A REGIMM word executes as
+    bltz when its rt field is RT_BLTZ and as bgez for any other rt, even
+    one :data:`REGIMM` has no row for."""
     op = (word >> 26) & 0x3F
     if op == OP_SPECIAL:
         return FUNCTS.get(word & 0x3F)
     if op == OP_REGIMM:
-        return REGIMM.get((word >> 16) & 31)
+        return REGIMM[RT_BLTZ if (word >> 16) & 31 == RT_BLTZ else RT_BGEZ]
     return OPCODES.get(op)
 
 
@@ -383,7 +380,7 @@ def disassemble_word(word: int, pc: int = 0) -> str:
         return f"{name} {n[rd]}, {n[rs]}, {n[rt]}"
     if op == OP_REGIMM:
         target = pc + 4 + (simm << 2)
-        name = regimm_row(rt).mnemonic
+        name = lookup(word).mnemonic
         return f"{name} {n[rs]}, 0x{target:x}"
     if op in (OP_J, OP_JAL):
         target = jump_target(pc, word & 0x3FFFFFF)

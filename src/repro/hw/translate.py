@@ -215,32 +215,18 @@ def _invalid(cpu, space, pc: int, f: Tuple[int, ...]) -> int:
     raise InvalidInstructionError(pc, f[-1])
 
 
-# (row, cold handler) per funct, REGIMM mnemonic and opcode.
-_INVALID: Tuple[Optional[isa.OpInfo], Handler] = (None, _invalid)
-_BY_FUNCT = {funct: (row, _cold(row)) for funct, row in isa.FUNCTS.items()}
-_BY_REGIMM = {row.mnemonic: (row, _cold(row)) for row in isa.REGIMM.values()}
-_BY_OP = {op: (row, _cold(row)) for op, row in isa.OPCODES.items()}
-
-
-def _lookup(word: int) -> Tuple[Optional[isa.OpInfo], Handler]:
-    op = (word >> 26) & 0x3F
-    if op == isa.OP_SPECIAL:
-        return _BY_FUNCT.get(word & 0x3F, _INVALID)
-    if op == isa.OP_REGIMM:
-        return _BY_REGIMM[isa.regimm_row((word >> 16) & 31).mnemonic]
-    return _BY_OP.get(op, _INVALID)
-
-
-def _row_of(word: int) -> Optional[isa.OpInfo]:
-    """The row the CPU executes for *word* (None: not an instruction)."""
-    return _lookup(word)[0]
+_COLD: Dict[isa.OpInfo, Handler] = {
+    row: _cold(row)
+    for table in (isa.FUNCTS, isa.REGIMM, isa.OPCODES)
+    for row in table.values()}
 
 
 def decode(word: int) -> Tuple[Handler, Tuple[int, ...]]:
     """The cold-tier handler for *word* and the fields it is called
     with; a word that is no instruction gets a handler that raises
     :class:`InvalidInstructionError`."""
-    return _lookup(word)[1], _fields(word)
+    row = isa.lookup(word)
+    return (_invalid if row is None else _COLD[row]), _fields(word)
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +244,13 @@ def block_length(data, offset: int) -> int:
     before the first trap or invalid word, or at the page end."""
     length = 0
     for at in range(offset, PAGE_SIZE, 4):
-        row = _row_of(_WORD.unpack_from(data, at)[0])
+        row = isa.lookup(_WORD.unpack_from(data, at)[0])
         if row is None or row.flow == isa.TRAP:
             break
         length += 1
         if row.flow != isa.FALL or row.mem in _SLOW_STORES:
             break
     return length
-
-
 
 
 def _block_source(words: bytes, base: int) -> str:
@@ -277,7 +261,7 @@ def _block_source(words: bytes, base: int) -> str:
         pc = base + 4 * index
         npc = (pc + 4) & M
         word = _WORD.unpack_from(words, 4 * index)[0]
-        row = _row_of(word)
+        row = isa.lookup(word)
         values = dict(zip(_FIELD_NAMES, _fields(word)))
         values.update(pc=pc, npc=npc, M=M, B=B)
         bind = _binder(values)

@@ -54,7 +54,7 @@ class Frame:
             self.data = bytearray(PAGE_SIZE)
             self.data[: len(data)] = data
         self.refcount = 1
-        self.decode: Dict[int, tuple] = {}
+        self.decode: Dict[int, object] = {}
         self.decode_cores: set = set()
 
 

@@ -21,9 +21,14 @@ from repro.hw.cpu import ArithmeticTrap, BreakTrap, Cpu, SyscallTrap, Trap
 from repro.hw import isa
 from repro.objfile.format import RelocType
 from repro.util.bits import hi16, lo16
-from repro.vm.address_space import AddressSpace, PROT_RW, PROT_RWX
+from repro.vm.address_space import (
+    MAP_SHARED,
+    PROT_RW,
+    PROT_RWX,
+    AddressSpace,
+)
 from repro.vm.faults import PageFaultError
-from repro.vm.pages import PhysicalMemory
+from repro.vm.pages import MemoryObject, PhysicalMemory
 
 TEXT = 0x1000
 DATA = 0x3000
@@ -598,3 +603,46 @@ class TestTranslatedBlocks:
             blocked = _execute(program, itertools.cycle(budgets))
             assert blocked.pop("translated") >= 1
             assert blocked == stepped
+
+    def test_frame_mapped_at_two_addresses(self):
+        """A block bakes in its PCs, so the one text frame mapped
+        executable at two addresses needs a block per address: the loop
+        warmed at the first address must branch within the second when
+        run there."""
+        text = bytes(assemble(""".text
+            top: lw t0, 0(s0)
+                 add t1, t1, t0
+                 addi t9, t9, -1
+                 bgtz t9, top
+                 syscall
+            """).text)
+        alias = 0x8000
+
+        def run(budget):
+            physmem = PhysicalMemory()
+            space = AddressSpace(physmem, tlb_enabled=True)
+            code = MemoryObject(physmem, name="text")
+            code.write(0, text)
+            for base in (TEXT, alias):
+                space.map(base, 0x1000, memobj=code, prot=PROT_RWX,
+                          flags=MAP_SHARED)
+            space.map(DATA, 0x1000, prot=PROT_RW)
+            space.store_word(DATA, 7)
+            cpu = Cpu(space)
+            states = []
+            for base in (TEXT, alias):
+                cpu.pc, cpu.regs[_COUNTER], cpu.regs[_DATA_BASE] = \
+                    base, 40, DATA
+                with pytest.raises(SyscallTrap):
+                    for _ in range(_LIMIT):
+                        cpu.step(budget)
+                states.append((cpu.pc, list(cpu.regs),
+                               cpu.instructions_executed, space.tlb_hits))
+            return states, {pc for pc, _ in physmem.translations}
+
+        stepped, leaders = run(1)
+        assert not leaders
+        assert [state[0] for state in stepped] == [TEXT + 16, alias + 16]
+        blocked, leaders = run(1000)
+        assert {TEXT, alias} <= leaders
+        assert blocked == stepped
