@@ -31,13 +31,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.hw import isa
+from repro.linker.branch_islands import ISLAND_PREFIX, ISLAND_SIZE
 from repro.objfile.format import ObjectFile, RelocType, SEC_ABS, SEC_TEXT
 from repro.util.bits import sign_extend
 from repro.analyze.context import LintContext
 from repro.analyze.report import Report, finding
 
-ISLAND_RE = re.compile(r"^__island_\d+__")
-ISLAND_SIZE = 12  # lui/ori/jr — keep in sync with linker.branch_islands
+ISLAND_RE = re.compile(rf"^{ISLAND_PREFIX}\d+__")
 
 @dataclass
 class _Insn:

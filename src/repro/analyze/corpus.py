@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.hw import isa
+from repro.linker.branch_islands import ISLAND_PREFIX
 from repro.objfile.format import (
     ObjectFile,
     ObjectKind,
@@ -89,7 +90,7 @@ def _undef(obj: ObjectFile, name: str) -> None:
 
 
 def _island(obj: ObjectFile, offset: int, target: str = "far") -> str:
-    label = f"__island_0__{target}"
+    label = f"{ISLAND_PREFIX}0__{target}"
     obj.symbols[label] = Symbol(label, SEC_TEXT, offset, SymBinding.LOCAL)
     return label
 

@@ -32,6 +32,12 @@ base) and ``returns_private``. The checker then rescans and flags:
 * ``SAN004`` — a stack-derived address is stored through a public base
   (advisory: legal for intra-run scratch, lethal across domains).
 
+The transfer is read off the :mod:`repro.hw.isa` row of each word: a
+branch, jump or indirect transfer resets the state, a linking jump is a
+call, a ``syscall`` ends ``v0``/``v1`` (the kernel writes both), a word
+store is checked, and every other write clears its destination —
+except the provenance carriers ``lui ori addi add or``.
+
 Provenance never flows through memory and dies at every control-flow
 join, so a register the analysis cannot prove private stays unknown —
 the pass is deliberately false-positive-free on runtime-computed
@@ -45,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.hw import isa
+from repro.linker.branch_islands import ISLAND_PREFIX
 from repro.objfile.format import (
     ObjectFile,
     RelocType,
@@ -68,9 +75,7 @@ register_codes({
 })
 
 _NARGS = 4          # a0..a3
-_BRANCH_OPS = frozenset({
-    isa.OP_BEQ, isa.OP_BNE, isa.OP_BLEZ, isa.OP_BGTZ, isa.OP_REGIMM,
-})
+_STORE_WORD = ("store", 4)
 #: Caller-saved registers clobbered by a call: at, v0/v1, a0..a3,
 #: t0..t9, ra.
 _CALLER_SAVED = tuple(
@@ -145,7 +150,7 @@ def _functions(obj: ObjectFile, text_len: int) -> List[_Func]:
     for name, symbol in obj.symbols.items():
         if not symbol.defined or symbol.section != SEC_TEXT:
             continue
-        if name.startswith("__island"):
+        if name.startswith(ISLAND_PREFIX):
             continue
         starts.append((symbol.value, name))
     if not starts:
@@ -199,64 +204,53 @@ def _scan(obj: ObjectFile, context: LintContext, text: bytes,
     offset = func.start
     while offset + 4 <= func.end:
         word = int.from_bytes(text[offset: offset + 4], "little")
-        op = (word >> 26) & 0x3F
+        row = isa.lookup(word)
         rs = (word >> 21) & 31
         rt = (word >> 16) & 31
-        if op == isa.OP_SPECIAL:
-            _step_special(state, word, summary)
-        elif op == isa.OP_LUI:
-            state[rt] = _lui(relocs.get(offset))
-        elif op == isa.OP_ORI:
-            state[rt] = _ori(obj, context, state[rs],
-                             relocs.get(offset))
-        elif op == isa.OP_ADDI:
-            if rs == isa.REG_SP:
-                state[rt] = (_STACK,)
-            else:
-                state[rt] = _keep_pointer(state[rs])
-        elif op in (isa.OP_LW, isa.OP_LH, isa.OP_LHU, isa.OP_LB,
-                    isa.OP_LBU):
-            state[rt] = None
-        elif op == isa.OP_SW:
-            _check_store(obj, func, report, summary, offset,
-                         base=state[rs], value=state[rt])
-        elif op == isa.OP_JAL:
+        rd = (word >> 11) & 31
+        if row is None:
+            _reset(state)  # the CPU traps: nothing falls through
+        elif row.flow == isa.TRAP:
+            # The kernel's results; everything else survives a syscall.
+            state[isa.REG_V0] = state[isa.REG_V1] = None
+        elif row.flow == isa.JUMP and row.links:
             _call(obj, state, summary, summaries, report, func, offset,
                   relocs.get(offset))
-        elif op == isa.OP_J or op in _BRANCH_OPS:
+        elif row.flow != isa.FALL:
+            if row.flow == isa.INDIRECT and rs == isa.REG_RA:
+                value = state[isa.REG_V0]
+                if value is not None and value[0] == _PRIV:
+                    summary.returns_private = True
             _reset(state)
-        elif op in (isa.OP_SLTI, isa.OP_SLTIU, isa.OP_ANDI,
-                    isa.OP_XORI):
-            state[rt] = None
+        elif row.mem == _STORE_WORD:
+            _check_store(obj, func, report, summary, offset,
+                         base=state[rs], value=state[rt])
+        elif row.mnemonic == "lui":
+            state[rt] = _lui(relocs.get(offset))
+        elif row.mnemonic == "ori":
+            state[rt] = _ori(obj, context, state[rs], relocs.get(offset))
+        elif row.mnemonic == "addi":
+            state[rt] = (_STACK,) if rs == isa.REG_SP \
+                else _keep_pointer(state[rs])
+        elif row.mnemonic in ("add", "or"):
+            state[rd] = _sum(state, rs, rt)
+        elif row.dst is not None:
+            state[rd if row.dst == "rd" else rt] = None
         state[isa.REG_ZERO] = None
         offset += 4
     return summary
 
 
-def _step_special(state: List[Optional[Tuple]], word: int,
-                  summary: _Summary) -> None:
-    funct = word & 0x3F
-    rs = (word >> 21) & 31
-    rt = (word >> 16) & 31
-    rd = (word >> 11) & 31
-    if funct in (isa.FN_JR, isa.FN_JALR):
-        if rs == isa.REG_RA:
-            value = state[isa.REG_V0]
-            if value is not None and value[0] == _PRIV:
-                summary.returns_private = True
-        _reset(state)
-        return
-    if funct in (isa.FN_ADD, isa.FN_OR):
-        if rs == isa.REG_SP or rt == isa.REG_SP:
-            state[rd] = (_STACK,)
-        elif rt == isa.REG_ZERO:
-            state[rd] = _keep_pointer(state[rs])
-        elif rs == isa.REG_ZERO:
-            state[rd] = _keep_pointer(state[rt])
-        else:
-            state[rd] = None
-    else:
-        state[rd] = None
+def _sum(state: List[Optional[Tuple]], rs: int,
+         rt: int) -> Optional[Tuple]:
+    """``add``/``or``: a pointer plus zero, or anything plus ``sp``."""
+    if rs == isa.REG_SP or rt == isa.REG_SP:
+        return (_STACK,)
+    if rt == isa.REG_ZERO:
+        return _keep_pointer(state[rs])
+    if rs == isa.REG_ZERO:
+        return _keep_pointer(state[rt])
+    return None
 
 
 def _lui(site_relocs: Optional[List]) -> Optional[Tuple]:

@@ -32,8 +32,6 @@ from repro.vm.layout import is_public_address
 from repro.analyze.context import LintContext
 from repro.analyze.report import Report, finding, format_reloc
 
-_STORE_OPS = frozenset({isa.OP_SB, isa.OP_SH, isa.OP_SW})
-
 
 def check_sharing(obj: ObjectFile, context: LintContext,
                   report: Report) -> None:
@@ -52,7 +50,8 @@ def _check_stores_into_text(obj: ObjectFile, context: LintContext,
             continue  # REL003 territory
         word = int.from_bytes(text[reloc.offset: reloc.offset + 4],
                               "little")
-        if (word >> 26) & 0x3F not in _STORE_OPS:
+        row = isa.lookup(word)
+        if row is None or row.mem is None or row.mem[0] != "store":
             continue
         symbol = obj.symbols.get(reloc.symbol)
         in_text = (symbol is not None and symbol.defined

@@ -26,9 +26,14 @@ Hemlock extensions: ``.heap`` requests per-segment heap slack for
 ``shmalloc``; ``.module``/``.searchdir`` embed a module list and search
 path in the template, the hooks scoped linking builds on (§3).
 
-Pseudo-instructions: ``li la move nop b beqz bnez call ret`` plus
-symbol-addressed loads/stores (``lw rt, sym`` expands to a ``lui``/``lw``
-pair through the assembler temporary).
+Real instructions are encoded from their rows in :mod:`repro.hw.isa`,
+whose operand syntax says which field each operand fills.
+Pseudo-instructions: ``li la move nop b beqz bnez call ret``, one-operand
+``jalr rs`` (``jalr ra, rs``), and symbol-addressed loads/stores (``lw
+rt, sym`` expands to a ``lui``/``lw`` pair through the assembler
+temporary); each expands to real instructions encoded the same way.
+Instructions, ``.word`` and ``.half`` align themselves, and a label
+directly before one of them names the aligned offset.
 
 References to symbols not defined in the file become undefined symbols
 with relocations; local labels are kept as LOCAL symbols so relocations
@@ -38,7 +43,7 @@ against them survive into the link step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import AssemblerError
 from repro.hw import isa
@@ -96,31 +101,6 @@ class _State:
     heap_size: int = 0
     modules: List[Tuple[str, str]] = field(default_factory=list)
     searchdirs: List[str] = field(default_factory=list)
-
-
-_THREE_REG = {
-    "add": isa.FN_ADD, "sub": isa.FN_SUB, "and": isa.FN_AND,
-    "or": isa.FN_OR, "xor": isa.FN_XOR, "nor": isa.FN_NOR,
-    "slt": isa.FN_SLT, "sltu": isa.FN_SLTU, "mul": isa.FN_MUL,
-    "div": isa.FN_DIV, "rem": isa.FN_REM,
-}
-_SHIFTS = {"sll": isa.FN_SLL, "srl": isa.FN_SRL, "sra": isa.FN_SRA}
-_VAR_SHIFTS = {"sllv": isa.FN_SLLV, "srlv": isa.FN_SRLV,
-               "srav": isa.FN_SRAV}
-_IMM_OPS = {
-    "addi": (isa.OP_ADDI, "signed"),
-    "slti": (isa.OP_SLTI, "signed"),
-    "sltiu": (isa.OP_SLTIU, "signed"),
-    "andi": (isa.OP_ANDI, "unsigned"),
-    "ori": (isa.OP_ORI, "unsigned"),
-    "xori": (isa.OP_XORI, "unsigned"),
-}
-_LOADS = {"lw": isa.OP_LW, "lh": isa.OP_LH, "lb": isa.OP_LB,
-          "lbu": isa.OP_LBU, "lhu": isa.OP_LHU}
-_STORES = {"sw": isa.OP_SW, "sh": isa.OP_SH, "sb": isa.OP_SB}
-_BRANCH2 = {"beq": isa.OP_BEQ, "bne": isa.OP_BNE}
-_BRANCH1 = {"blez": isa.OP_BLEZ, "bgtz": isa.OP_BGTZ}
-_REGIMM = {"bltz": isa.RT_BLTZ, "bgez": isa.RT_BGEZ}
 
 
 def assemble(source: str, name: str = "a.o") -> ObjectFile:
@@ -196,6 +176,19 @@ class _Assembler:
                 )
             self.state.offsets[section] = padded
 
+    def _self_align(self, alignment: int, line_no: int) -> None:
+        """Align for a statement that needs it. As in MIPS gas, a label
+        naming the unaligned offset names the statement instead."""
+        state = self.state
+        section = state.section
+        if not state.offsets[section] & (alignment - 1):
+            return
+        unaligned = (section, state.offsets[section])
+        self._align(alignment, line_no)
+        for label, location in state.labels.items():
+            if location == unaligned:
+                state.labels[label] = (section, state.offsets[section])
+
     def _directive(self, directive: str, rest: str, line_no: int) -> None:
         state = self.state
         if directive in (".text", ".data", ".bss"):
@@ -257,11 +250,11 @@ class _Assembler:
                     f"{directive} not allowed in .bss", line_no
                 )
             if directive == ".word":
-                self._align(4, line_no)
+                self._self_align(4, line_no)
                 args = _split_commas(rest)
                 size = 4 * len(args)
             elif directive == ".half":
-                self._align(2, line_no)
+                self._self_align(2, line_no)
                 args = _split_commas(rest)
                 size = 2 * len(args)
             elif directive == ".byte":
@@ -292,6 +285,7 @@ class _Assembler:
             )
         operands = _split_commas(rest)
         size = self._insn_size(mnemonic, operands, line_no)
+        self._self_align(4, line_no)
         offset = self._advance(size)
         self.state.statements.append(
             _Insn(SEC_TEXT, offset, mnemonic, operands, line_no, size)
@@ -303,16 +297,14 @@ class _Assembler:
             if len(operands) != 2:
                 raise AssemblerError("li takes rt, imm", line_no)
             value = _parse_number(operands[1], line_no)
+            if not -2**31 <= value < 2**32:
+                raise AssemblerError(
+                    f"li value {value} does not fit in 32 bits", line_no)
             if fits_signed(value, 16) or fits_unsigned(value, 16):
                 return 4
             return 8
-        if mnemonic == "la":
+        if mnemonic == "la" or _symbol_access(mnemonic, operands):
             return 8
-        if mnemonic in _LOADS or mnemonic in _STORES:
-            if len(operands) == 2 and "(" not in operands[1] \
-                    and not _looks_numeric(operands[1]):
-                return 8  # symbol-addressed pseudo form
-            return 4
         return 4
 
     # ------------------------------------------------------------------
@@ -332,9 +324,6 @@ class _Assembler:
                 # Exported but not defined here: an undefined global the
                 # linker must resolve (or a .comm already handled).
                 self.obj.reference(name)
-
-    def _symbol_or_none(self, name: str) -> Optional[Tuple[str, int]]:
-        return self.state.labels.get(name)
 
     # ------------------------------------------------------------------
     # pass 2: emit
@@ -378,9 +367,7 @@ class _Assembler:
             raise AssemblerError(
                 f"symbol reference {arg!r} must be word-sized", stmt.line
             )
-        local = self._symbol_or_none(symbol)
-        if local is None:
-            self.obj.reference(symbol)
+        self._note_reference(symbol)
         self.obj.relocations.append(
             Relocation(stmt.section, offset, RelocType.WORD32, symbol,
                        addend)
@@ -398,12 +385,6 @@ class _Assembler:
                 f"internal: size mismatch for {stmt.mnemonic}", stmt.line
             )
 
-    def _reg(self, name: str, line: int) -> int:
-        try:
-            return isa.register_number(name)
-        except ValueError as exc:
-            raise AssemblerError(str(exc), line) from None
-
     def _need(self, stmt: _Insn, count: int) -> List[str]:
         if len(stmt.operands) != count:
             raise AssemblerError(
@@ -413,164 +394,64 @@ class _Assembler:
         return stmt.operands
 
     def _encode(self, stmt: _Insn) -> List[int]:
+        """The words of *stmt*: one real instruction, or the real
+        instructions a pseudo-instruction expands to."""
         m = stmt.mnemonic
-        line = stmt.line
-
-        if m == "nop":
-            self._need(stmt, 0)
-            return [0]
-        if m == "syscall":
-            self._need(stmt, 0)
-            return [isa.encode_r(isa.FN_SYSCALL)]
-        if m == "break":
-            self._need(stmt, 0)
-            return [isa.encode_r(isa.FN_BREAK)]
-        if m == "ret":
-            self._need(stmt, 0)
-            return [isa.encode_r(isa.FN_JR, rs=isa.REG_RA)]
-        if m in _THREE_REG:
-            a, b, c = self._need(stmt, 3)
-            return [isa.encode_r(_THREE_REG[m], rd=self._reg(a, line),
-                                 rs=self._reg(b, line),
-                                 rt=self._reg(c, line))]
-        if m in _SHIFTS:
-            a, b, c = self._need(stmt, 3)
-            shamt = _parse_number(c, line)
-            if not 0 <= shamt < 32:
-                raise AssemblerError("shift amount out of range", line)
-            return [isa.encode_r(_SHIFTS[m], rd=self._reg(a, line),
-                                 rt=self._reg(b, line), shamt=shamt)]
-        if m in _VAR_SHIFTS:
-            # sllv rd, rt, rs: shift rt left by the low bits of rs.
-            a, b, c = self._need(stmt, 3)
-            return [isa.encode_r(_VAR_SHIFTS[m], rd=self._reg(a, line),
-                                 rt=self._reg(b, line),
-                                 rs=self._reg(c, line))]
-        if m == "move":
-            a, b = self._need(stmt, 2)
-            return [isa.encode_r(isa.FN_OR, rd=self._reg(a, line),
-                                 rs=self._reg(b, line), rt=isa.REG_ZERO)]
-        if m in _IMM_OPS:
-            a, b, c = self._need(stmt, 3)
-            op, signedness = _IMM_OPS[m]
-            value = _parse_number(c, line)
-            if signedness == "signed" and not fits_signed(value, 16):
-                raise AssemblerError(f"immediate {value} out of range", line)
-            if signedness == "unsigned" and not fits_unsigned(value, 16):
-                raise AssemblerError(f"immediate {value} out of range", line)
-            return [isa.encode_i(op, rs=self._reg(b, line),
-                                 rt=self._reg(a, line), imm=value)]
-        if m == "lui":
-            a, b = self._need(stmt, 2)
-            value = _parse_number(b, line)
-            if not fits_unsigned(value, 16):
-                raise AssemblerError("lui immediate out of range", line)
-            return [isa.encode_i(isa.OP_LUI, rt=self._reg(a, line),
-                                 imm=value)]
         if m == "li":
-            a, b = self._need(stmt, 2)
-            rt = self._reg(a, line)
-            value = _parse_number(b, line)
-            if fits_signed(value, 16):
-                return [isa.encode_i(isa.OP_ADDI, rs=isa.REG_ZERO, rt=rt,
-                                     imm=value)]
-            if fits_unsigned(value, 16):
-                return [isa.encode_i(isa.OP_ORI, rs=isa.REG_ZERO, rt=rt,
-                                     imm=value)]
-            value &= 0xFFFFFFFF
-            return [
-                isa.encode_i(isa.OP_LUI, rt=rt, imm=value >> 16),
-                isa.encode_i(isa.OP_ORI, rs=rt, rt=rt, imm=value & 0xFFFF),
-            ]
+            return self._li(stmt)
         if m == "la":
-            a, b = self._need(stmt, 2)
-            rt = self._reg(a, line)
-            symbol, addend = _split_sym_addend(b, line)
-            self._note_reference(symbol)
-            self.obj.relocations.append(
-                Relocation(SEC_TEXT, stmt.offset, RelocType.HI16, symbol,
-                           addend)
-            )
-            self.obj.relocations.append(
-                Relocation(SEC_TEXT, stmt.offset + 4, RelocType.LO16, symbol,
-                           addend)
-            )
-            return [
-                isa.encode_i(isa.OP_LUI, rt=rt, imm=0),
-                isa.encode_i(isa.OP_ORI, rs=rt, rt=rt, imm=0),
-            ]
-        if m in _LOADS or m in _STORES:
-            return self._encode_mem(stmt)
-        if m in _BRANCH2 or m in ("beqz", "bnez"):
-            if m in ("beqz", "bnez"):
-                a, target = self._need(stmt, 2)
-                rs, rt = self._reg(a, line), isa.REG_ZERO
-                op = isa.OP_BEQ if m == "beqz" else isa.OP_BNE
-            else:
-                a, b, target = self._need(stmt, 3)
-                rs, rt = self._reg(a, line), self._reg(b, line)
-                op = _BRANCH2[m]
-            return [isa.encode_i(op, rs=rs, rt=rt,
-                                 imm=self._branch_offset(target, stmt))]
-        if m in _BRANCH1:
-            a, target = self._need(stmt, 2)
-            return [isa.encode_i(_BRANCH1[m], rs=self._reg(a, line),
-                                 imm=self._branch_offset(target, stmt))]
-        if m in _REGIMM:
-            a, target = self._need(stmt, 2)
-            return [isa.encode_i(isa.OP_REGIMM, rs=self._reg(a, line),
-                                 rt=_REGIMM[m],
-                                 imm=self._branch_offset(target, stmt))]
-        if m == "b":
-            (target,) = self._need(stmt, 1)
-            return [isa.encode_i(isa.OP_BEQ, rs=isa.REG_ZERO,
-                                 rt=isa.REG_ZERO,
-                                 imm=self._branch_offset(target, stmt))]
-        if m in ("j", "jal", "call"):
-            (target,) = self._need(stmt, 1)
-            op = isa.OP_J if m == "j" else isa.OP_JAL
-            symbol, addend = _split_sym_addend(target, line)
-            self._note_reference(symbol)
-            self.obj.relocations.append(
-                Relocation(SEC_TEXT, stmt.offset, RelocType.JUMP26, symbol,
-                           addend)
-            )
-            return [isa.encode_j(op, 0)]
-        if m == "jr":
-            (a,) = self._need(stmt, 1)
-            return [isa.encode_r(isa.FN_JR, rs=self._reg(a, line))]
-        if m == "jalr":
-            if len(stmt.operands) == 1:
-                rd, rs = isa.REG_RA, self._reg(stmt.operands[0], line)
-            else:
-                a, b = self._need(stmt, 2)
-                rd, rs = self._reg(a, line), self._reg(b, line)
-            return [isa.encode_r(isa.FN_JALR, rd=rd, rs=rs)]
-        raise AssemblerError(f"unknown instruction {m!r}", line)
+            rt, ref = self._need(stmt, 2)
+            self._hi_lo(ref, stmt)
+            return [self._real("lui", [rt, "0"], stmt),
+                    self._real("ori", [rt, rt, "0"], stmt)]
+        if stmt.size == 8:
+            # The other two-word form pass 1 sized: the symbol-addressed
+            # lw rt, sym is lui at, %hi(sym); lw rt, %lo(sym)(at).
+            rt, ref = self._need(stmt, 2)
+            self._hi_lo(ref, stmt)
+            return [self._real("lui", ["at", "0"], stmt),
+                    self._real(m, [rt, "0(at)"], stmt)]
+        alias = _ALIASES.get(m)
+        if alias is not None:
+            real, count, template = alias
+            operands = self._need(stmt, count)
+            return [self._real(real, [operands[t] if isinstance(t, int)
+                                      else t for t in template], stmt)]
+        if m == "jalr" and len(stmt.operands) == 1:
+            return [self._real("jalr", ["ra", stmt.operands[0]], stmt)]
+        return [self._real(m, stmt.operands, stmt)]
 
-    def _encode_mem(self, stmt: _Insn) -> List[int]:
-        m = stmt.mnemonic
-        line = stmt.line
-        a, addr = self._need(stmt, 2)
-        rt = self._reg(a, line)
-        op = _LOADS.get(m, _STORES.get(m))
-        assert op is not None
-        if "(" in addr:
-            offset_text, _, reg_text = addr.partition("(")
-            reg_text = reg_text.rstrip(")")
-            base = self._reg(reg_text, line)
-            offset = _parse_number(offset_text, line) if offset_text.strip() \
-                else 0
-            if not fits_signed(offset, 16):
-                raise AssemblerError("load/store offset out of range", line)
-            return [isa.encode_i(op, rs=base, rt=rt, imm=offset)]
-        if _looks_numeric(addr):
-            offset = _parse_number(addr, line)
-            if not fits_signed(offset, 16):
-                raise AssemblerError("absolute address out of range", line)
-            return [isa.encode_i(op, rs=isa.REG_ZERO, rt=rt, imm=offset)]
-        # Symbol-addressed pseudo form: lui at, %hi(sym); op rt, %lo(sym)(at)
-        symbol, addend = _split_sym_addend(addr, line)
+    def _real(self, mnemonic: str, operands: List[str],
+              stmt: _Insn) -> int:
+        """Encode one real instruction from its table row."""
+        entry = _REAL.get(mnemonic)
+        if entry is None:
+            raise AssemblerError(f"unknown instruction {mnemonic!r}",
+                                 stmt.line)
+        word, fields = entry
+        if len(operands) != len(fields):
+            raise AssemblerError(
+                f"{mnemonic} takes {len(fields)} operand(s), got "
+                f"{len(operands)}", stmt.line
+            )
+        for parse, text in zip(fields, operands):
+            word |= parse(self, text, stmt)
+        return word
+
+    def _li(self, stmt: _Insn) -> List[int]:
+        rt, text = self._need(stmt, 2)
+        value = _parse_number(text, stmt.line)
+        if fits_signed(value, 16):
+            return [self._real("addi", [rt, "zero", text], stmt)]
+        if fits_unsigned(value, 16):
+            return [self._real("ori", [rt, "zero", text], stmt)]
+        value &= 0xFFFFFFFF
+        return [self._real("lui", [rt, str(value >> 16)], stmt),
+                self._real("ori", [rt, rt, str(value & 0xFFFF)], stmt)]
+
+    def _hi_lo(self, ref: str, stmt: _Insn) -> None:
+        """HI16/LO16 relocations for a two-word pseudo-instruction."""
+        symbol, addend = _split_sym_addend(ref, stmt.line)
         self._note_reference(symbol)
         self.obj.relocations.append(
             Relocation(SEC_TEXT, stmt.offset, RelocType.HI16, symbol, addend)
@@ -579,13 +460,9 @@ class _Assembler:
             Relocation(SEC_TEXT, stmt.offset + 4, RelocType.LO16, symbol,
                        addend)
         )
-        return [
-            isa.encode_i(isa.OP_LUI, rt=isa.REG_AT, imm=0),
-            isa.encode_i(op, rs=isa.REG_AT, rt=rt, imm=0),
-        ]
 
     def _branch_offset(self, target: str, stmt: _Insn) -> int:
-        location = self._symbol_or_none(target)
+        location = self.state.labels.get(target)
         if location is None:
             raise AssemblerError(
                 f"branch target {target!r} is not a local label "
@@ -602,8 +479,108 @@ class _Assembler:
         return offset
 
     def _note_reference(self, symbol: str) -> None:
-        if self._symbol_or_none(symbol) is None:
+        if symbol not in self.state.labels:
             self.obj.reference(symbol)
+
+
+# ---------------------------------------------------------------------------
+# the instruction table
+# ---------------------------------------------------------------------------
+#
+# One parser per syntax operand of repro.hw.isa: each reads the operand
+# text and returns its bits, placed in the word.
+
+_Field = Callable[[_Assembler, str, _Insn], int]
+
+
+def _register(shift: int) -> _Field:
+    def parse(asm: _Assembler, text: str, stmt: _Insn) -> int:
+        try:
+            return isa.register_number(text) << shift
+        except ValueError as exc:
+            raise AssemblerError(str(exc), stmt.line) from None
+    return parse
+
+
+_rs = _register(21)
+
+
+def _shift_amount(asm: _Assembler, text: str, stmt: _Insn) -> int:
+    value = _parse_number(text, stmt.line)
+    if not 0 <= value < 32:
+        raise AssemblerError("shift amount out of range", stmt.line)
+    return value << 6
+
+
+def _immediate(signed: bool) -> _Field:
+    fits = fits_signed if signed else fits_unsigned
+
+    def parse(asm: _Assembler, text: str, stmt: _Insn) -> int:
+        value = _parse_number(text, stmt.line)
+        if not fits(value, 16):
+            raise AssemblerError(f"immediate {value} out of range",
+                                 stmt.line)
+        return value & 0xFFFF
+    return parse
+
+
+def _memory(asm: _Assembler, text: str, stmt: _Insn) -> int:
+    """``offset(base)``, ``(base)``, or an absolute address off ``zero``."""
+    offset_text, paren, base_text = text.partition("(")
+    base = _rs(asm, base_text.rstrip(")"), stmt) if paren else 0
+    offset = _parse_number(offset_text, stmt.line) if offset_text.strip() \
+        else 0
+    if not fits_signed(offset, 16):
+        raise AssemblerError("load/store offset out of range", stmt.line)
+    return base | (offset & 0xFFFF)
+
+
+def _label(asm: _Assembler, text: str, stmt: _Insn) -> int:
+    return asm._branch_offset(text, stmt) & 0xFFFF
+
+
+def _jump_target(asm: _Assembler, text: str, stmt: _Insn) -> int:
+    symbol, addend = _split_sym_addend(text, stmt.line)
+    asm._note_reference(symbol)
+    asm.obj.relocations.append(
+        Relocation(SEC_TEXT, stmt.offset, RelocType.JUMP26, symbol, addend)
+    )
+    return 0
+
+
+_OPERAND_FIELDS: Dict[str, _Field] = {
+    "rd": _register(11), "rs": _rs, "rt": _register(16),
+    "sa": _shift_amount,
+    "imm": _immediate(signed=False), "simm": _immediate(signed=True),
+    "simm(rs)": _memory, "label": _label, "tgt": _jump_target,
+}
+
+#: Every real instruction: the bits its row fixes and its operand parsers.
+_REAL: Dict[str, Tuple[int, Tuple[_Field, ...]]] = {
+    row.mnemonic: (bits, tuple(_OPERAND_FIELDS[operand]
+                               for operand in row.operands))
+    for bits, row in isa.rows()
+}
+_MEMORY = frozenset(row.mnemonic for _bits, row in isa.rows() if row.mem)
+
+#: Pseudo-instructions that are one real instruction with some operands
+#: fixed: name -> (real mnemonic, operand count, operands), an int in
+#: the operands standing for that operand of the pseudo-instruction.
+_ALIASES: Dict[str, Tuple[str, int, Tuple[object, ...]]] = {
+    "nop": ("sll", 0, ("zero", "zero", "0")),
+    "move": ("or", 2, (0, 1, "zero")),
+    "b": ("beq", 1, ("zero", "zero", 0)),
+    "beqz": ("beq", 2, (0, "zero", 1)),
+    "bnez": ("bne", 2, (0, "zero", 1)),
+    "call": ("jal", 1, (0,)),
+    "ret": ("jr", 0, ("ra",)),
+}
+
+
+def _symbol_access(mnemonic: str, operands: List[str]) -> bool:
+    """A load or store addressed by symbol: ``lw rt, sym``."""
+    return mnemonic in _MEMORY and len(operands) == 2 \
+        and "(" not in operands[1] and not _looks_numeric(operands[1])
 
 
 # ---------------------------------------------------------------------------

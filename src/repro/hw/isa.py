@@ -14,9 +14,8 @@ the top 4 bits — the R3000 region limit central to §3 of the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
-
-from repro.util.bits import sign_extend
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Tuple)
 
 # ---------------------------------------------------------------------------
 # registers
@@ -187,11 +186,18 @@ class ArithmeticTrap(Trap):
 # the semantics table
 # ---------------------------------------------------------------------------
 #
-# One row per instruction: mnemonic, format, control-flow class and a
-# Python-source semantic template. Both CPU execution tiers
-# (repro.hw.translate), the disassembler below and the CFG lint
-# (repro.analyze.cfg) read these rows; the CPU has no other copy of
-# what an instruction does.
+# One row per instruction: mnemonic, operand syntax, control-flow
+# class and a Python-source semantic template. Both CPU execution tiers
+# (repro.hw.translate), the assembler (repro.hw.asm), the disassembler
+# below and the static checks (repro.analyze.cfg, .sharing and
+# .sanitize) read these rows; none of them has another copy of what an
+# instruction is or does.
+#
+# The syntax lists the operands in assembly order, each naming the field
+# it fills: registers ``rd rs rt``, the shift amount ``sa``, the 16-bit
+# immediate as ``imm`` (unsigned, shown in hex) or ``simm`` (signed),
+# the memory operand ``simm(rs)``, a branch's ``label`` (a pc-relative
+# word offset in ``simm``) and a jump's ``tgt`` (the 26-bit field).
 #
 # Templates are expressions over ``r`` (the register list), the decoded
 # fields ``rs rt rd sa imm tgt``, the pre-sign-extended immediate
@@ -220,7 +226,7 @@ class OpInfo(NamedTuple):
     """One row of the semantics table."""
 
     mnemonic: str
-    fmt: str                    # "R", "I" or "J"
+    syntax: str                 # operands, e.g. "rt, simm(rs)" (see above)
     flow: str                   # FALL, BRANCH, JUMP, INDIRECT or TRAP
     dst: Optional[str]          # register written: "rd", "rt" or "31"
     sem: str                    # semantic template (see above)
@@ -231,79 +237,89 @@ class OpInfo(NamedTuple):
         """A call: a transfer that leaves a return address behind."""
         return self.flow in (JUMP, INDIRECT) and self.dst is not None
 
+    @property
+    def operands(self) -> Tuple[str, ...]:
+        """The syntax split into its operands."""
+        return tuple(self.syntax.split(", ")) if self.syntax else ()
+
 
 _SIGNED_RS = "((r[rs] ^ B) - B)"
 _SIGNED_RT = "((r[rt] ^ B) - B)"
 
 #: SPECIAL (op 0) rows, by funct.
 FUNCTS: Dict[int, OpInfo] = {
-    FN_SLL: OpInfo("sll", "R", FALL, "rd", "(r[rt] << sa) & M"),
-    FN_SRL: OpInfo("srl", "R", FALL, "rd", "r[rt] >> sa"),
-    FN_SRA: OpInfo("sra", "R", FALL, "rd", f"({_SIGNED_RT} >> sa) & M"),
-    FN_SLLV: OpInfo("sllv", "R", FALL, "rd",
+    FN_SLL: OpInfo("sll", "rd, rt, sa", FALL, "rd", "(r[rt] << sa) & M"),
+    FN_SRL: OpInfo("srl", "rd, rt, sa", FALL, "rd", "r[rt] >> sa"),
+    FN_SRA: OpInfo("sra", "rd, rt, sa", FALL, "rd",
+                   f"({_SIGNED_RT} >> sa) & M"),
+    FN_SLLV: OpInfo("sllv", "rd, rt, rs", FALL, "rd",
                     "(r[rt] << (r[rs] & 31)) & M"),
-    FN_SRLV: OpInfo("srlv", "R", FALL, "rd", "r[rt] >> (r[rs] & 31)"),
-    FN_SRAV: OpInfo("srav", "R", FALL, "rd",
+    FN_SRLV: OpInfo("srlv", "rd, rt, rs", FALL, "rd",
+                    "r[rt] >> (r[rs] & 31)"),
+    FN_SRAV: OpInfo("srav", "rd, rt, rs", FALL, "rd",
                     f"({_SIGNED_RT} >> (r[rs] & 31)) & M"),
-    FN_JR: OpInfo("jr", "R", INDIRECT, None, "r[rs]"),
-    FN_JALR: OpInfo("jalr", "R", INDIRECT, "rd", "r[rs]"),
-    FN_SYSCALL: OpInfo("syscall", "R", TRAP, None, "SyscallTrap"),
-    FN_BREAK: OpInfo("break", "R", TRAP, None, "BreakTrap"),
-    FN_MUL: OpInfo("mul", "R", FALL, "rd", "(r[rs] * r[rt]) & M"),
+    FN_JR: OpInfo("jr", "rs", INDIRECT, None, "r[rs]"),
+    FN_JALR: OpInfo("jalr", "rd, rs", INDIRECT, "rd", "r[rs]"),
+    FN_SYSCALL: OpInfo("syscall", "", TRAP, None, "SyscallTrap"),
+    FN_BREAK: OpInfo("break", "", TRAP, None, "BreakTrap"),
+    FN_MUL: OpInfo("mul", "rd, rs, rt", FALL, "rd", "(r[rs] * r[rt]) & M"),
     # Divide by zero traps (``_fpe``); the quotient truncates toward
     # zero and the remainder takes the dividend's sign.
-    FN_DIV: OpInfo("div", "R", FALL, "rd",
+    FN_DIV: OpInfo("div", "rd, rs, rt", FALL, "rd",
                    f"int({_SIGNED_RS} / {_SIGNED_RT}) & M "
                    f"if r[rt] else _fpe(pc)"),
-    FN_REM: OpInfo("rem", "R", FALL, "rd",
+    FN_REM: OpInfo("rem", "rd, rs, rt", FALL, "rd",
                    f"_rem({_SIGNED_RS}, {_SIGNED_RT}) & M "
                    f"if r[rt] else _fpe(pc)"),
-    FN_ADD: OpInfo("add", "R", FALL, "rd", "(r[rs] + r[rt]) & M"),
-    FN_SUB: OpInfo("sub", "R", FALL, "rd", "(r[rs] - r[rt]) & M"),
-    FN_AND: OpInfo("and", "R", FALL, "rd", "r[rs] & r[rt]"),
-    FN_OR: OpInfo("or", "R", FALL, "rd", "r[rs] | r[rt]"),
-    FN_XOR: OpInfo("xor", "R", FALL, "rd", "r[rs] ^ r[rt]"),
-    FN_NOR: OpInfo("nor", "R", FALL, "rd", "~(r[rs] | r[rt]) & M"),
-    FN_SLT: OpInfo("slt", "R", FALL, "rd",
+    FN_ADD: OpInfo("add", "rd, rs, rt", FALL, "rd", "(r[rs] + r[rt]) & M"),
+    FN_SUB: OpInfo("sub", "rd, rs, rt", FALL, "rd", "(r[rs] - r[rt]) & M"),
+    FN_AND: OpInfo("and", "rd, rs, rt", FALL, "rd", "r[rs] & r[rt]"),
+    FN_OR: OpInfo("or", "rd, rs, rt", FALL, "rd", "r[rs] | r[rt]"),
+    FN_XOR: OpInfo("xor", "rd, rs, rt", FALL, "rd", "r[rs] ^ r[rt]"),
+    FN_NOR: OpInfo("nor", "rd, rs, rt", FALL, "rd", "~(r[rs] | r[rt]) & M"),
+    FN_SLT: OpInfo("slt", "rd, rs, rt", FALL, "rd",
                    "1 if (r[rs] ^ B) < (r[rt] ^ B) else 0"),
-    FN_SLTU: OpInfo("sltu", "R", FALL, "rd", "1 if r[rs] < r[rt] else 0"),
+    FN_SLTU: OpInfo("sltu", "rd, rs, rt", FALL, "rd",
+                    "1 if r[rs] < r[rt] else 0"),
 }
 
 #: REGIMM (op 1) rows, by the rt field. The CPU executes any rt other
 #: than RT_BLTZ as bgez (see :func:`lookup`).
 REGIMM: Dict[int, OpInfo] = {
-    RT_BLTZ: OpInfo("bltz", "I", BRANCH, None, f"{_SIGNED_RS} < 0"),
-    RT_BGEZ: OpInfo("bgez", "I", BRANCH, None, f"{_SIGNED_RS} >= 0"),
+    RT_BLTZ: OpInfo("bltz", "rs, label", BRANCH, None, f"{_SIGNED_RS} < 0"),
+    RT_BGEZ: OpInfo("bgez", "rs, label", BRANCH, None, f"{_SIGNED_RS} >= 0"),
 }
 
 #: Every other row, by primary opcode.
 OPCODES: Dict[int, OpInfo] = {
-    OP_J: OpInfo("j", "J", JUMP, None, "(npc & 0xF0000000) | (tgt << 2)"),
-    OP_JAL: OpInfo("jal", "J", JUMP, "31",
+    OP_J: OpInfo("j", "tgt", JUMP, None, "(npc & 0xF0000000) | (tgt << 2)"),
+    OP_JAL: OpInfo("jal", "tgt", JUMP, "31",
                    "(npc & 0xF0000000) | (tgt << 2)"),
-    OP_BEQ: OpInfo("beq", "I", BRANCH, None, "r[rs] == r[rt]"),
-    OP_BNE: OpInfo("bne", "I", BRANCH, None, "r[rs] != r[rt]"),
-    OP_BLEZ: OpInfo("blez", "I", BRANCH, None, f"{_SIGNED_RS} <= 0"),
-    OP_BGTZ: OpInfo("bgtz", "I", BRANCH, None, f"{_SIGNED_RS} > 0"),
-    OP_ADDI: OpInfo("addi", "I", FALL, "rt", "(r[rs] + simm) & M"),
-    OP_SLTI: OpInfo("slti", "I", FALL, "rt",
+    OP_BEQ: OpInfo("beq", "rs, rt, label", BRANCH, None, "r[rs] == r[rt]"),
+    OP_BNE: OpInfo("bne", "rs, rt, label", BRANCH, None, "r[rs] != r[rt]"),
+    OP_BLEZ: OpInfo("blez", "rs, label", BRANCH, None, f"{_SIGNED_RS} <= 0"),
+    OP_BGTZ: OpInfo("bgtz", "rs, label", BRANCH, None, f"{_SIGNED_RS} > 0"),
+    OP_ADDI: OpInfo("addi", "rt, rs, simm", FALL, "rt", "(r[rs] + simm) & M"),
+    OP_SLTI: OpInfo("slti", "rt, rs, simm", FALL, "rt",
                     f"1 if {_SIGNED_RS} < simm else 0"),
-    OP_SLTIU: OpInfo("sltiu", "I", FALL, "rt",
+    OP_SLTIU: OpInfo("sltiu", "rt, rs, simm", FALL, "rt",
                      "1 if r[rs] < (simm & M) else 0"),
-    OP_ANDI: OpInfo("andi", "I", FALL, "rt", "r[rs] & imm"),
-    OP_ORI: OpInfo("ori", "I", FALL, "rt", "r[rs] | imm"),
-    OP_XORI: OpInfo("xori", "I", FALL, "rt", "r[rs] ^ imm"),
-    OP_LUI: OpInfo("lui", "I", FALL, "rt", "(imm << 16) & M"),
-    OP_LB: OpInfo("lb", "I", FALL, "rt", "((v ^ 0x80) - 0x80) & M",
-                  ("load", 1)),
-    OP_LH: OpInfo("lh", "I", FALL, "rt", "((v ^ 0x8000) - 0x8000) & M",
-                  ("load", 2)),
-    OP_LW: OpInfo("lw", "I", FALL, "rt", "v", ("load", 4)),
-    OP_LBU: OpInfo("lbu", "I", FALL, "rt", "v", ("load", 1)),
-    OP_LHU: OpInfo("lhu", "I", FALL, "rt", "v", ("load", 2)),
-    OP_SB: OpInfo("sb", "I", FALL, None, "r[rt] & 0xFF", ("store", 1)),
-    OP_SH: OpInfo("sh", "I", FALL, None, "r[rt] & 0xFFFF", ("store", 2)),
-    OP_SW: OpInfo("sw", "I", FALL, None, "r[rt]", ("store", 4)),
+    OP_ANDI: OpInfo("andi", "rt, rs, imm", FALL, "rt", "r[rs] & imm"),
+    OP_ORI: OpInfo("ori", "rt, rs, imm", FALL, "rt", "r[rs] | imm"),
+    OP_XORI: OpInfo("xori", "rt, rs, imm", FALL, "rt", "r[rs] ^ imm"),
+    OP_LUI: OpInfo("lui", "rt, imm", FALL, "rt", "(imm << 16) & M"),
+    OP_LB: OpInfo("lb", "rt, simm(rs)", FALL, "rt",
+                  "((v ^ 0x80) - 0x80) & M", ("load", 1)),
+    OP_LH: OpInfo("lh", "rt, simm(rs)", FALL, "rt",
+                  "((v ^ 0x8000) - 0x8000) & M", ("load", 2)),
+    OP_LW: OpInfo("lw", "rt, simm(rs)", FALL, "rt", "v", ("load", 4)),
+    OP_LBU: OpInfo("lbu", "rt, simm(rs)", FALL, "rt", "v", ("load", 1)),
+    OP_LHU: OpInfo("lhu", "rt, simm(rs)", FALL, "rt", "v", ("load", 2)),
+    OP_SB: OpInfo("sb", "rt, simm(rs)", FALL, None, "r[rt] & 0xFF",
+                  ("store", 1)),
+    OP_SH: OpInfo("sh", "rt, simm(rs)", FALL, None, "r[rt] & 0xFFFF",
+                  ("store", 2)),
+    OP_SW: OpInfo("sw", "rt, simm(rs)", FALL, None, "r[rt]", ("store", 4)),
 }
 
 
@@ -336,68 +352,54 @@ def lookup(word: int) -> Optional[OpInfo]:
     return OPCODES.get(op)
 
 
+def rows() -> Iterator[Tuple[int, OpInfo]]:
+    """Every row with the bits its encoding fixes: the opcode, plus the
+    funct of a SPECIAL row or the rt field of a REGIMM row."""
+    for funct, row in FUNCTS.items():
+        yield (OP_SPECIAL << 26) | funct, row
+    for rt, row in REGIMM.items():
+        yield (OP_REGIMM << 26) | (rt << 16), row
+    for op, row in OPCODES.items():
+        yield op << 26, row
+
+
 # ---------------------------------------------------------------------------
 # disassembly
 # ---------------------------------------------------------------------------
 
-_R_NAMES = {funct: row.mnemonic for funct, row in FUNCTS.items()}
-_I_NAMES = {op: row.mnemonic for op, row in OPCODES.items()
-            if row.fmt == "I"}
+def _simm(word: int) -> int:
+    return ((word & 0xFFFF) ^ 0x8000) - 0x8000
 
-_LOADSTORE_OPS = {op for op, row in OPCODES.items() if row.mem}
-_BRANCH2_OPS = {OP_BEQ, OP_BNE}      # the branches that compare two registers
-_BRANCH1_OPS = {OP_BLEZ, OP_BGTZ}
+
+#: How each syntax operand reads back from a word at some pc.
+_OPERAND_TEXT: Dict[str, Callable[[int, int], str]] = {
+    "rd": lambda word, pc: REG_NAMES[(word >> 11) & 31],
+    "rs": lambda word, pc: REG_NAMES[(word >> 21) & 31],
+    "rt": lambda word, pc: REG_NAMES[(word >> 16) & 31],
+    "sa": lambda word, pc: str((word >> 6) & 31),
+    "imm": lambda word, pc: f"0x{word & 0xFFFF:x}",
+    "simm": lambda word, pc: str(_simm(word)),
+    "simm(rs)": lambda word, pc:
+        f"{_simm(word)}({REG_NAMES[(word >> 21) & 31]})",
+    "label": lambda word, pc: f"0x{pc + 4 + (_simm(word) << 2):x}",
+    "tgt": lambda word, pc: f"0x{jump_target(pc, word & 0x3FFFFFF):x}",
+}
+
+
+#: Each syntax's operand formatters, in order.
+_FORMATTERS = {row.syntax: tuple(_OPERAND_TEXT[operand]
+                                 for operand in row.operands)
+               for _bits, row in rows()}
 
 
 def disassemble_word(word: int, pc: int = 0) -> str:
     """Best-effort one-line disassembly of *word* at address *pc*."""
-    op = (word >> 26) & 0x3F
-    rs = (word >> 21) & 31
-    rt = (word >> 16) & 31
-    rd = (word >> 11) & 31
-    shamt = (word >> 6) & 31
-    funct = word & 0x3F
-    imm = word & 0xFFFF
-    simm = sign_extend(imm, 16)
-    n = REG_NAMES
-
     if word == 0:
         return "nop"
-    if op == OP_SPECIAL:
-        name = _R_NAMES.get(funct)
-        if name is None:
-            return f".word 0x{word:08x}"
-        if funct in (FN_SLL, FN_SRL, FN_SRA):
-            return f"{name} {n[rd]}, {n[rt]}, {shamt}"
-        if funct in (FN_SLLV, FN_SRLV, FN_SRAV):
-            return f"{name} {n[rd]}, {n[rt]}, {n[rs]}"
-        if funct == FN_JR:
-            return f"jr {n[rs]}"
-        if funct == FN_JALR:
-            return f"jalr {n[rd]}, {n[rs]}"
-        if funct in (FN_SYSCALL, FN_BREAK):
-            return name
-        return f"{name} {n[rd]}, {n[rs]}, {n[rt]}"
-    if op == OP_REGIMM:
-        target = pc + 4 + (simm << 2)
-        name = lookup(word).mnemonic
-        return f"{name} {n[rs]}, 0x{target:x}"
-    if op in (OP_J, OP_JAL):
-        target = jump_target(pc, word & 0x3FFFFFF)
-        return f"{OPCODES[op].mnemonic} 0x{target:x}"
-    name = _I_NAMES.get(op)
-    if name is None:
+    row = lookup(word)
+    if row is None:
         return f".word 0x{word:08x}"
-    if op in _BRANCH2_OPS:
-        target = pc + 4 + (simm << 2)
-        return f"{name} {n[rs]}, {n[rt]}, 0x{target:x}"
-    if op in _BRANCH1_OPS:
-        target = pc + 4 + (simm << 2)
-        return f"{name} {n[rs]}, 0x{target:x}"
-    if op == OP_LUI:
-        return f"lui {n[rt]}, 0x{imm:x}"
-    if op in _LOADSTORE_OPS:
-        return f"{name} {n[rt]}, {simm}({n[rs]})"
-    if op in (OP_ANDI, OP_ORI, OP_XORI):
-        return f"{name} {n[rt]}, {n[rs]}, 0x{imm:x}"
-    return f"{name} {n[rt]}, {n[rs]}, {simm}"
+    if not row.syntax:
+        return row.mnemonic
+    operands = [text(word, pc) for text in _FORMATTERS[row.syntax]]
+    return f"{row.mnemonic} {', '.join(operands)}"

@@ -216,9 +216,7 @@ def _invalid(cpu, space, pc: int, f: Tuple[int, ...]) -> int:
 
 
 _COLD: Dict[isa.OpInfo, Handler] = {
-    row: _cold(row)
-    for table in (isa.FUNCTS, isa.REGIMM, isa.OPCODES)
-    for row in table.values()}
+    row: _cold(row) for _bits, row in isa.rows()}
 
 
 def decode(word: int) -> Tuple[Handler, Tuple[int, ...]]:

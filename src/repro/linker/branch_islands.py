@@ -37,6 +37,8 @@ from repro.trace import tracer as _trace
 from repro.trace.events import EventKind
 
 ISLAND_SIZE = 12  # three instructions
+#: Every island's label starts with this, then ``<n>__<target>``.
+ISLAND_PREFIX = "__island_"
 
 
 def insert_branch_islands(obj: ObjectFile,
@@ -60,7 +62,7 @@ def insert_branch_islands(obj: ObjectFile,
             continue
         label = by_target.get((reloc.symbol, reloc.addend))
         if label is None:
-            label = f"__island_{islands}__{reloc.symbol}"
+            label = f"{ISLAND_PREFIX}{islands}__{reloc.symbol}"
             by_target[(reloc.symbol, reloc.addend)] = label
             islands += 1
             island_offset = len(obj.text)

@@ -146,6 +146,28 @@ class TestCorpus:
         assert run_self_test(strict=True) == []
 
 
+class TestSanTransfer:
+    # The kernel writes v0 and v1 on every syscall, so after one v1 no
+    # longer holds &privptr when it is stored.
+    @pytest.mark.parametrize("between, plants", [("nop", 1),
+                                                 ("syscall", 0)])
+    def test_v1_plant_across(self, between, plants):
+        obj = assemble(f"""
+                .text
+                .globl f
+        f:      la      v1, privptr
+                addi    v0, zero, 4
+                {between}
+                la      at, pubseg
+                sw      v1, 0(at)
+                jr      ra
+        """, "plant.o")
+        context = LintContext(scope_levels=[[ScopeModule("env", exports={
+            "pubseg": 0x3000_0100, "privptr": 0x1000_0040})]])
+        report = analyze_object(obj, context, only=["sanitize"])
+        assert report.count("SAN001") == plants
+
+
 # ---------------------------------------------------------------------------
 # relocation checks on real toolchain output
 # ---------------------------------------------------------------------------

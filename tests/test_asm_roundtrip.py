@@ -10,39 +10,61 @@ from repro.util.bits import to_signed32
 from repro.vm.address_space import AddressSpace, PROT_RWX
 from repro.vm.pages import PhysicalMemory
 
-REG_NAMES = [n for n in isa.REG_NAMES
-             if n not in ("zero", "k0", "k1", "gp", "sp", "fp", "ra",
-                          "at")]
+ROWS = [row for _bits, row in isa.rows()]
 
-register = st.sampled_from(REG_NAMES)
-imm16 = st.integers(min_value=-32768, max_value=32767)
+registers = st.sampled_from(isa.REG_NAMES)
+
+#: Source text and disassembly for one drawn value of each syntax operand
+#: other than the ``label``/``tgt`` targets.
+OPERANDS = {
+    "rd": registers.map(lambda name: (name, name)),
+    "rs": registers.map(lambda name: (name, name)),
+    "rt": registers.map(lambda name: (name, name)),
+    "sa": st.integers(0, 31).map(lambda n: (str(n), str(n))),
+    "imm": st.integers(0, 0xFFFF).map(lambda n: (f"0x{n:x}", f"0x{n:x}")),
+    "simm": st.integers(-32768, 32767).map(lambda n: (str(n), str(n))),
+    "simm(rs)": st.tuples(st.integers(-32768, 32767), registers).map(
+        lambda pair: (f"{pair[0]}({pair[1]})", f"{pair[0]}({pair[1]})")),
+}
 
 
 class TestAssembleDisassemble:
-    @settings(max_examples=60)
-    @given(register, register, register,
-           st.sampled_from(["add", "sub", "and", "or", "xor", "slt",
-                            "sltu", "mul"]))
-    def test_three_reg_roundtrip(self, rd, rs, rt, op):
-        obj = assemble(f".text\n{op} {rd}, {rs}, {rt}")
-        word = int.from_bytes(obj.text[:4], "little")
-        assert isa.disassemble_word(word) == f"{op} {rd}, {rs}, {rt}"
+    """Every row of the ISA table assembles from its syntax, disassembles
+    back to the same line, and decodes to itself."""
 
-    @settings(max_examples=60)
-    @given(register, register, imm16,
-           st.sampled_from(["lw", "sw", "lb", "lbu", "sb"]))
-    def test_loadstore_roundtrip(self, rt, base, offset, op):
-        obj = assemble(f".text\n{op} {rt}, {offset}({base})")
-        word = int.from_bytes(obj.text[:4], "little")
-        assert isa.disassemble_word(word) == f"{op} {rt}, {offset}({base})"
+    @pytest.mark.parametrize("row", ROWS, ids=[r.mnemonic for r in ROWS])
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_row_roundtrip(self, row, data):
+        # A five-word text: the instruction at word `at`, label L at
+        # word `to`, nops elsewhere.
+        at = data.draw(st.integers(0, 4))
+        to = data.draw(st.integers(0, 4))
+        source, shown = [], []
+        for operand in row.operands:
+            if operand in ("label", "tgt"):
+                source.append("L")
+                shown.append(f"0x{4 * to:x}")
+            else:
+                text, disassembly = data.draw(OPERANDS[operand])
+                source.append(text)
+                shown.append(disassembly)
+        line = " ".join([row.mnemonic, ", ".join(source)]).strip()
+        lines = ["nop"] * 5
+        lines[at] = line
+        lines[to] = "L: " + lines[to]
+        obj = assemble(".text\n" + "\n".join(lines))
 
-    @settings(max_examples=40)
-    @given(register, register, st.integers(min_value=0, max_value=31),
-           st.sampled_from(["sll", "srl", "sra"]))
-    def test_shift_roundtrip(self, rd, rt, amount, op):
-        obj = assemble(f".text\n{op} {rd}, {rt}, {amount}")
-        word = int.from_bytes(obj.text[:4], "little")
-        assert isa.disassemble_word(word) == f"{op} {rd}, {rt}, {amount}"
+        word = int.from_bytes(obj.text[4 * at: 4 * at + 4], "little")
+        if "tgt" in row.operands:
+            # The JUMP26 relocation the linker would apply.
+            (reloc,) = obj.relocations
+            assert reloc.offset == 4 * at and reloc.symbol == "L"
+            word |= isa.jump_field(obj.symbols["L"].value)
+        expected = " ".join([row.mnemonic, ", ".join(shown)]).strip()
+        assert isa.disassemble_word(word, 4 * at) == \
+            (expected if word else "nop")
+        assert isa.lookup(word) is row
 
 
 def _run_fragment(body: str, max_instructions: int = 200) -> Cpu:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import AssemblerError
 from repro.hw.asm import assemble
+from repro.hw.isa import disassemble_word
 from repro.objfile.format import (
     RelocType,
     SEC_BSS,
@@ -72,6 +73,29 @@ class TestSections:
         sym = obj.symbols["buffer"]
         assert sym.section == SEC_BSS
         assert sym.binding is SymBinding.GLOBAL
+
+
+class TestAlignment:
+    def test_instruction_after_byte_aligns(self):
+        obj = assemble(".text\n.byte 1\nmain: addi t0, t0, 1")
+        assert len(obj.text) == 8
+        assert obj.symbols["main"].value == 4
+        word = int.from_bytes(obj.text[4:8], "little")
+        assert disassemble_word(word, 4) == "addi t0, t0, 1"
+
+    def test_label_before_word_names_aligned_offset(self):
+        obj = assemble(".data\n.byte 1\nx: .word 5")
+        assert obj.symbols["x"].value == 4
+        assert obj.data[4:8] == (5).to_bytes(4, "little")
+
+    def test_label_on_own_line_before_half(self):
+        obj = assemble(".data\n.byte 1\ny:\n.half 7")
+        assert obj.symbols["y"].value == 2
+        assert obj.data[2:4] == (7).to_bytes(2, "little")
+
+    def test_label_before_byte_or_align_stays(self):
+        obj = assemble(".data\n.byte 1\nz: .align 4\n.word 3")
+        assert obj.symbols["z"].value == 1
 
 
 class TestSymbols:
@@ -167,7 +191,8 @@ class TestPseudoInstructions:
         assert len(assemble(".text\nli t0, 0xFFFF").text) == 4
 
     def test_li_large_is_two_instructions(self):
-        assert len(assemble(".text\nli t0, 0x12345678").text) == 8
+        for value in (0x12345678, 2**32 - 1, -2**31):
+            assert len(assemble(f".text\nli t0, {value}").text) == 8
 
     def test_move_and_nop(self):
         obj = assemble(".text\nmove t0, t1\nnop")
@@ -212,6 +237,11 @@ class TestErrors:
     def test_branch_to_data_rejected(self):
         with pytest.raises(AssemblerError):
             assemble(".text\nb d\n.data\nd: .word 0")
+
+    @pytest.mark.parametrize("value", [2**32, -2**31 - 1])
+    def test_li_outside_32_bits(self, value):
+        with pytest.raises(AssemblerError):
+            assemble(f".text\nli t0, {value}")
 
     def test_operand_count(self):
         with pytest.raises(AssemblerError):
