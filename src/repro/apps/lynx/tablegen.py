@@ -14,7 +14,6 @@ from typing import Dict, List
 
 from repro.apps.lynx.slr import (
     EXPR_GRAMMAR,
-    SlrTables,
     build_slr_tables,
     flatten_tables,
 )
@@ -209,8 +208,3 @@ def read_tables_segment(kernel: Kernel, proc: Process,
     return TableSet(dims[0], dims[1], dims[2], dims[3],
                     sections["action"], sections["goto"],
                     sections["prod_heads"], sections["prod_lengths"])
-
-
-def make_tables(tables: SlrTables) -> TableSet:
-    """Adapter from the generator's rich form to the numeric form."""
-    return _from_flat(flatten_tables(tables))

@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.kernel.timing import Clock
 from repro.util.tables import format_table
 
 
@@ -47,12 +46,6 @@ class Experiment:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
-    def value(self, label: str) -> float:
-        for measurement in self.measurements:
-            if measurement.label == label:
-                return measurement.value
-        raise KeyError(label)
-
     def report(self) -> str:
         lines = [
             f"== {self.experiment_id}: {self.title} ==",
@@ -64,10 +57,6 @@ class Experiment:
                                   rows))
         lines.extend(f"note: {note}" for note in self.notes)
         return "\n".join(lines)
-
-    def print_report(self) -> None:
-        print()
-        print(self.report())
 
 
 def write_bench_json(experiment: "Experiment",
@@ -105,32 +94,6 @@ def ratio(numerator: float, denominator: float) -> float:
     if denominator == 0:
         return float("inf")
     return numerator / denominator
-
-
-class CycleTimer:
-    """Measure simulated-cycle intervals on a kernel clock."""
-
-    def __init__(self, clock: Clock) -> None:
-        self.clock = clock
-        self._start: Optional[int] = None
-
-    def __enter__(self) -> "CycleTimer":
-        self._start = self.clock.snapshot()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        assert self._start is not None
-        self.elapsed = self.clock.snapshot() - self._start
-
-    elapsed: int = 0
-
-
-def categories_delta(clock: Clock, before: Dict[str, int]) -> Dict[str, int]:
-    """Per-category cycle deltas since *before* (a by_category copy)."""
-    return {
-        key: clock.by_category.get(key, 0) - before.get(key, 0)
-        for key in set(clock.by_category) | set(before)
-    }
 
 
 def _fmt(value: float) -> str:

@@ -3,6 +3,9 @@
 * :mod:`hgen` — the §6 "Language Heterogeneity" experiment: generate
   declarations and access routines for a shared module in another
   language, from nothing but the module's symbol table.
+* :mod:`cli` — the command-line front ends: the toolchain that runs
+  inside the simulation (``lds``, ``toycc``, ``as``, ...) and the host
+  tools (``reprotrace``, ``reprochaos``, ...).
 """
 
 from repro.tools.hgen import (
@@ -10,25 +13,9 @@ from repro.tools.hgen import (
     generate_python_accessors,
     load_python_accessors,
 )
-from repro.tools.cli import (
-    lds_main,
-    toycc_main,
-    asm_main,
-    nm_main,
-    objdump_main,
-    ar_main,
-    segls_main,
-)
 
 __all__ = [
     "generate_toyc_header",
     "generate_python_accessors",
     "load_python_accessors",
-    "lds_main",
-    "toycc_main",
-    "asm_main",
-    "nm_main",
-    "objdump_main",
-    "ar_main",
-    "segls_main",
 ]

@@ -12,11 +12,16 @@ context of a simulated process, reading and writing the simulated file
 system):
 
 * :func:`lds_main` — ``lds [-o out] [-L dir]... [-e sym] [--strict]
-  [--no-crt0] [-l lib.a]... module.o... [--dynamic-public m.o]...``
-* :func:`toycc_main` — ``toycc -o out.o source.c``
-* :func:`asm_main` — ``as -o out.o source.s``
+  [--no-crt0] [--jumptable] [--verify|--no-verify] [-l lib.a]...
+  module.o... [-sp|-dp|-dr m.o]...``; the long forms of the sharing
+  class flags are ``--static-public``, ``--dynamic-public`` and
+  ``--dynamic-private``, and a bare module is static private;
+* :func:`toycc_main` — ``toycc [-o out.o] source.c``;
+* :func:`asm_main` — ``as [-o out.o] source.s``;
 * :func:`nm_main` / :func:`objdump_main` — inspection, returning text;
 * :func:`ar_main` — ``ar archive.a member.o...``;
+* :func:`segls_main` — ``segls [-l]``, every segment on the shared
+  partition;
 * :func:`reprolint_main` — ``reprolint [--strict] [--only cat,cat]
   [--quiet] path...`` runs the :mod:`repro.analyze` static verifier
   over objects, archives, and segment files (auto-detected by magic)
@@ -24,13 +29,15 @@ system):
   findings raise :class:`repro.errors.LintError`; ``--strict``
   promotes WARNINGs to failures too.
 
-Two tools run on the *host* instead of inside the simulation:
+Six tools run on the *host* instead of inside the simulation, each
+installed as a console script of the same name (all through
+:func:`main`, also ``python -m repro.tools.cli TOOL ...``):
 
 * :func:`reprotrace_main` — ``reprotrace [-o dir] [--kinds K,K]
   [--capacity N] [--top N] script.py [args...]`` runs any example (or
   other host script) with kernel-wide tracing armed, then writes a
   JSONL event log and a ``chrome://tracing`` file and prints the top-N
-  hot-spot report. Also installed as the ``reprotrace`` console script.
+  hot-spot report.
 * :func:`reprochaos_main` — ``reprochaos [--seed N] [--runs N]
   [--planes P,P] [--rate F] script.py...`` soaks host scripts under
   :mod:`repro.inject` fault planes: each seeded configuration is
@@ -56,28 +63,38 @@ Two tools run on the *host* instead of inside the simulation:
 * :func:`reprofsck_main` — ``reprofsck [--verbose] image...`` checks
   saved device images (``BlockDevice.save``) for damage, rendering
   stable ``DSK###`` findings; exit status 1 when any image has
-  findings. Also installed as the ``reprofsck`` console script.
+  findings.
+* :func:`reprorr_main` — ``reprorr record|replay|seek|info`` records a
+  run of a host script and replays it, whole or from a checkpoint,
+  through the :mod:`repro.rr` divergence oracle.
 * :func:`reprosan_main` — ``reprosan list|run|soak|sweep`` drives the
   :mod:`repro.sanitize` race detector and heap sanitizer: render the
   deterministic report for a seeded corpus case (``run CASE``, with
   ``--replay`` seeking an rr recording to the first racing access
   pair), record and replay the whole corpus requiring zero divergence
   (``soak``), or run every example armed expecting zero
-  findings (``sweep``). Also installed as the ``reprosan`` console
-  script.
+  findings (``sweep``).
+
+Every command line is parsed by :mod:`argparse` through one parser
+class, :class:`_Parser`; a bad one raises :class:`UsageError` naming
+the tool, which :func:`main` reports as one line on stderr with exit
+status 2.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import os
 import sys
 from dataclasses import replace
-from typing import List, Optional, Sequence, TextIO
+from typing import Callable, List, Optional, Sequence, TextIO
 
+from repro.analyze.pipeline import CHECKS
 from repro.errors import LinkError, SimulationError
 from repro.hw.asm import assemble
+from repro.inject import Plane
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.linker.classes import SharingClass
@@ -97,6 +114,7 @@ from repro.rr.oracle import (
     soak_call,
     soak_script,
 )
+from repro.rr.recorder import DEFAULT_INTERVAL
 from repro.session import (
     DEFAULT_REPORT_LIMIT,
     active_run,
@@ -104,152 +122,200 @@ from repro.session import (
     script_inputs,
 )
 from repro.toyc import compile_source
-
-_CLASS_FLAGS = {
-    "--static-private": SharingClass.STATIC_PRIVATE,
-    "-spr": SharingClass.STATIC_PRIVATE,
-    "--static-public": SharingClass.STATIC_PUBLIC,
-    "-sp": SharingClass.STATIC_PUBLIC,
-    "--dynamic-public": SharingClass.DYNAMIC_PUBLIC,
-    "-dp": SharingClass.DYNAMIC_PUBLIC,
-    "--dynamic-private": SharingClass.DYNAMIC_PRIVATE,
-    "-dr": SharingClass.DYNAMIC_PRIVATE,
-}
+from repro.trace.events import EventKind
 
 
 class UsageError(SimulationError):
     """Bad command-line arguments."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """The parser of every tool and subcommand (``add_subparsers``
+    builds subcommand parsers from the parent's class).
+
+    The in-simulation tools must never exit the interpreter, so a usage
+    error raises :class:`UsageError` prefixed with the program name
+    (``"reprorr seek: argument --cycle: ..."``) instead. No ``-h`` and
+    no abbreviated long options: a tool accepts exactly the flags it
+    declares.
+    """
+
+    def __init__(self, prog: str, **kwargs) -> None:
+        super().__init__(prog=prog, add_help=False, allow_abbrev=False,
+                         **kwargs)
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"invalid positive int value: {text!r}")
+    return int(text)
+
+
+def _comma_list(item: Callable[[str], object]):
+    """argparse type: a comma-separated list, blank names dropped, each
+    name passed through *item*, which rejects it with a ValueError."""
+    def parse(text: str) -> list:
+        try:
+            return [item(name.strip()) for name in text.split(",")
+                    if name.strip()]
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error))
+    return parse
+
+
+def _event_kind(name: str) -> str:
+    if name.upper() not in EventKind.__members__:
+        raise ValueError(f"unknown event kind {name!r} "
+                         f"(known: {', '.join(EventKind.__members__)})")
+    return name
+
+
+def _plane(name: str) -> str:
+    Plane.parse(name)  # its ValueError names the known planes
+    return name
+
+
+def _check_category(name: str) -> str:
+    known = sorted(check for check, _run in CHECKS)
+    if name not in known:
+        raise ValueError(f"unknown category {name!r} "
+                         f"(known: {', '.join(known)})")
+    return name
+
+
+#: lds's sharing-class flags; a bare module is static private.
+_CLASS_FLAGS = {
+    ("-sp", "--static-public"): SharingClass.STATIC_PUBLIC,
+    ("-dp", "--dynamic-public"): SharingClass.DYNAMIC_PUBLIC,
+    ("-dr", "--dynamic-private"): SharingClass.DYNAMIC_PRIVATE,
+}
+
+
+class _SharingClassAction(argparse.Action):
+    """Append ``LinkRequest(module, const)`` to the one ``classed`` list
+    shared by every sharing-class flag, so the list keeps argv order:
+    :meth:`Lds.link` builds the dynamic-module list in that order."""
+
+    def __call__(self, parser, namespace, module, option_string=None):
+        namespace.classed.append(LinkRequest(module, self.const))
+
+
 def lds_main(kernel: Kernel, proc: Process,
              argv: Sequence[str]) -> LinkResult:
     """Run an lds command line; returns the LinkResult."""
-    output = "a.out"
-    search_dirs: List[str] = []
-    archives: List[Archive] = []
-    requests: List[LinkRequest] = []
-    entry: Optional[str] = None
-    with_crt0 = True
-    strict = False
-    use_jumptable = False
-    verify: Optional[bool] = None
-
-    args = list(argv)
-    index = 0
-    while index < len(args):
-        arg = args[index]
-        if arg == "-o":
-            output = _value(args, index, "-o")
-            index += 2
-        elif arg == "-L":
-            search_dirs.append(_value(args, index, "-L"))
-            index += 2
-        elif arg == "-e":
-            entry = _value(args, index, "-e")
-            index += 2
-        elif arg == "-l":
-            path = _value(args, index, "-l")
-            archives.append(load_archive(kernel, proc, path))
-            index += 2
-        elif arg == "--no-crt0":
-            with_crt0 = False
-            index += 1
-        elif arg == "--strict":
-            strict = True
-            index += 1
-        elif arg == "--jumptable":
-            use_jumptable = True
-            index += 1
-        elif arg == "--verify":
-            verify = True
-            index += 1
-        elif arg == "--no-verify":
-            verify = False
-            index += 1
-        elif arg in _CLASS_FLAGS:
-            module = _value(args, index, arg)
-            requests.append(LinkRequest(module, _CLASS_FLAGS[arg]))
-            index += 2
-        elif arg.startswith("-"):
-            raise UsageError(f"lds: unknown option {arg!r}")
-        else:
-            requests.append(LinkRequest(arg))
-            index += 1
-
+    parser = _Parser("lds")
+    parser.add_argument("-o", dest="output", default="a.out")
+    parser.add_argument("-L", dest="search_dirs", action="append",
+                        default=[])
+    parser.add_argument("-e", dest="entry")
+    parser.add_argument("-l", dest="archives", action="append", default=[])
+    parser.add_argument("--no-crt0", dest="with_crt0",
+                        action="store_false")
+    parser.add_argument("--strict", action="store_true")
+    parser.add_argument("--jumptable", action="store_true")
+    parser.add_argument("--verify", action="store_const", const=True)
+    parser.add_argument("--no-verify", dest="verify",
+                        action="store_const", const=False)
+    parser.set_defaults(classed=[])
+    for flags, sharing in _CLASS_FLAGS.items():
+        parser.add_argument(*flags, action=_SharingClassAction,
+                            const=sharing)
+    parser.add_argument("modules", nargs="*")
+    args = parser.parse_intermixed_args(argv)
+    # Lds.link keeps static-private modules apart from the classed ones,
+    # so only the order within each list matters.
+    requests = [LinkRequest(module) for module in args.modules] \
+        + args.classed
     if not requests:
-        raise UsageError("lds: no input modules")
+        parser.error("no input modules")
     return Lds(kernel).link(
-        proc, requests, output=output, search_dirs=search_dirs,
-        archives=archives, entry=entry, with_crt0=with_crt0,
-        strict_dynamic=strict, use_jumptable=use_jumptable,
-        verify=verify,
+        proc, requests, output=args.output, search_dirs=args.search_dirs,
+        archives=[load_archive(kernel, proc, path)
+                  for path in args.archives],
+        entry=args.entry, with_crt0=args.with_crt0,
+        strict_dynamic=args.strict, use_jumptable=args.jumptable,
+        verify=args.verify,
     )
+
+
+def _translate(kernel: Kernel, proc: Process, argv: Sequence[str],
+               prog: str, extension: str,
+               translate: Callable[[str, str], ObjectFile]) -> str:
+    """``prog [-o out.o] source``: translate one source file into an
+    object named by ``-o``, by default the source with *extension*
+    replaced by ``.o``; returns the output path."""
+    parser = _Parser(prog)
+    parser.add_argument("-o", dest="output")
+    parser.add_argument("source")
+    args = parser.parse_args(argv)
+    output = args.output or args.source.removesuffix(extension) + ".o"
+    source = kernel.vfs.read_whole(args.source, proc.uid,
+                                   cwd=proc.cwd).decode("latin-1")
+    name = output.rsplit("/", 1)[-1]
+    store_object(kernel, proc, output, translate(source, name))
+    return output
 
 
 def toycc_main(kernel: Kernel, proc: Process,
                argv: Sequence[str]) -> str:
     """Run a toycc command line; returns the output path."""
-    output, source_path = _one_output_one_input(argv, "toycc", ".c")
-    source = kernel.vfs.read_whole(source_path, proc.uid,
-                                   cwd=proc.cwd).decode("latin-1")
-    name = output.rsplit("/", 1)[-1]
-    store_object(kernel, proc, output, compile_source(source, name))
-    return output
+    return _translate(kernel, proc, argv, "toycc", ".c", compile_source)
 
 
 def asm_main(kernel: Kernel, proc: Process, argv: Sequence[str]) -> str:
     """Run an as command line; returns the output path."""
-    output, source_path = _one_output_one_input(argv, "as", ".s")
-    source = kernel.vfs.read_whole(source_path, proc.uid,
-                                   cwd=proc.cwd).decode("latin-1")
-    name = output.rsplit("/", 1)[-1]
-    store_object(kernel, proc, output, assemble(source, name))
-    return output
+    return _translate(kernel, proc, argv, "as", ".s", assemble)
 
 
 def nm_main(kernel: Kernel, proc: Process, argv: Sequence[str]) -> str:
     """nm <object>: the symbol table as text."""
-    if len(argv) != 1:
-        raise UsageError("nm takes exactly one object file")
-    return nm(_load_any(kernel, proc, argv[0]))
+    parser = _Parser("nm")
+    parser.add_argument("object")
+    return nm(_load_any(kernel, proc, parser.parse_args(argv).object))
 
 
 def objdump_main(kernel: Kernel, proc: Process,
                  argv: Sequence[str]) -> str:
     """objdump [-d] <object>."""
-    args = list(argv)
-    disassemble = "-d" in args
-    if disassemble:
-        args.remove("-d")
-    if len(args) != 1:
-        raise UsageError("objdump takes exactly one object file")
-    return objdump(_load_any(kernel, proc, args[0]),
-                   disassemble=disassemble)
+    parser = _Parser("objdump")
+    parser.add_argument("-d", dest="disassemble", action="store_true")
+    parser.add_argument("object")
+    args = parser.parse_args(argv)
+    return objdump(_load_any(kernel, proc, args.object),
+                   disassemble=args.disassemble)
 
 
 def ar_main(kernel: Kernel, proc: Process, argv: Sequence[str]) -> str:
     """ar <archive> <member.o>...: build an archive file."""
-    if len(argv) < 2:
-        raise UsageError("ar takes an archive name and members")
-    archive_path = argv[0]
-    archive = Archive(archive_path.rsplit("/", 1)[-1])
-    for member_path in argv[1:]:
+    parser = _Parser("ar")
+    parser.add_argument("archive")
+    parser.add_argument("members", nargs="+")
+    args = parser.parse_args(argv)
+    archive = Archive(args.archive.rsplit("/", 1)[-1])
+    for member_path in args.members:
         archive.add(load_template(kernel, proc, member_path))
-    kernel.vfs.write_whole(archive_path, archive.to_bytes(), proc.uid,
+    kernel.vfs.write_whole(args.archive, archive.to_bytes(), proc.uid,
                            cwd=proc.cwd)
-    return archive_path
+    return args.archive
 
 
 def segls_main(kernel: Kernel, proc: Process,
                argv: Sequence[str] = ()) -> str:
-    """segls: peruse every segment on the shared partition.
+    """segls [-l]: peruse every segment on the shared partition.
 
     The §5 garbage-collection affordance: manual cleanup requires "the
     ability to peruse all of the segments in existence". Lists path,
     base address, and size; with ``-l`` also whether the file is a
     linked module (has segment metadata).
     """
-    long_form = "-l" in argv
+    parser = _Parser("segls")
+    parser.add_argument("-l", dest="long_form", action="store_true")
+    long_form = parser.parse_args(argv).long_form
     from repro.linker.segments import read_segment_meta
 
     lines = []
@@ -280,53 +346,25 @@ def reprolint_main(kernel: Kernel, proc: Process,
     check categories (relocations, symbols, cfg, layout, sharing);
     ``--quiet`` hides INFO findings from the rendering.
     """
-    from repro.analyze.pipeline import CHECKS
     from repro.analyze.report import Report, Severity
 
-    strict = False
-    quiet = False
-    only: Optional[List[str]] = None
-    paths: List[str] = []
-    args = list(argv)
-    index = 0
-    while index < len(args):
-        arg = args[index]
-        if arg == "--strict":
-            strict = True
-            index += 1
-        elif arg == "--quiet":
-            quiet = True
-            index += 1
-        elif arg == "--only":
-            names = _value(args, index, "--only")
-            only = [name.strip() for name in names.split(",")
-                    if name.strip()]
-            known = {name for name, _check in CHECKS}
-            unknown = [name for name in only if name not in known]
-            if unknown:
-                raise UsageError(
-                    f"reprolint: unknown categories {unknown} "
-                    f"(known: {', '.join(sorted(known))})"
-                )
-            index += 2
-        elif arg.startswith("-"):
-            raise UsageError(f"reprolint: unknown option {arg!r}")
-        else:
-            paths.append(arg)
-            index += 1
-    if not paths:
-        raise UsageError("reprolint: no input files")
+    parser = _Parser("reprolint")
+    parser.add_argument("--strict", action="store_true")
+    parser.add_argument("--quiet", action="store_true")
+    parser.add_argument("--only", type=_comma_list(_check_category))
+    parser.add_argument("paths", nargs="+")
+    args = parser.parse_intermixed_args(argv)
 
-    combined = Report(subject=", ".join(paths))
+    combined = Report(subject=", ".join(args.paths))
     pieces: List[str] = []
-    for path in paths:
-        report = _lint_path(kernel, proc, path, only)
+    for path in args.paths:
+        report = _lint_path(kernel, proc, path, args.only)
         combined.merge(report)
         pieces.append(report.render(
-            Severity.WARNING if quiet else Severity.INFO
+            Severity.WARNING if args.quiet else Severity.INFO
         ))
     text = "\n".join(pieces)
-    threshold = Severity.WARNING if strict else Severity.ERROR
+    threshold = Severity.WARNING if args.strict else Severity.ERROR
     combined.raise_if(threshold)
     return text
 
@@ -380,60 +418,23 @@ def reprotrace_main(argv: Sequence[str],
     or https://ui.perfetto.dev), and a top-N report is printed.
     Exports are deterministic: identical runs produce identical bytes.
     """
-    from repro.trace.events import EventKind
-
     out = stdout if stdout is not None else sys.stdout
-    outdir = "."
-    kinds: Optional[List[str]] = None
-    capacity = 1 << 16
-    top = 10
-    script: Optional[str] = None
-    script_args: List[str] = []
-
-    args = list(argv)
-    index = 0
-    while index < len(args):
-        arg = args[index]
-        if arg == "-o":
-            outdir = _value(args, index, "-o")
-            index += 2
-        elif arg == "--kinds":
-            names = _value(args, index, "--kinds")
-            kinds = [name for name in names.split(",") if name.strip()]
-            try:
-                for name in kinds:
-                    EventKind[name.strip().upper()]
-            except KeyError:
-                known = ", ".join(k.name for k in EventKind)
-                raise UsageError(
-                    f"reprotrace: unknown event kind {name!r} "
-                    f"(known: {known})"
-                )
-            index += 2
-        elif arg == "--capacity":
-            capacity = int(_value(args, index, "--capacity"))
-            index += 2
-        elif arg == "--top":
-            top = int(_value(args, index, "--top"))
-            index += 2
-        elif arg.startswith("-") and script is None:
-            raise UsageError(f"reprotrace: unknown option {arg!r}")
-        else:
-            script = arg
-            script_args = args[index + 1:]
-            break
-    if script is None:
-        raise UsageError(
-            "reprotrace: usage: reprotrace [-o dir] [--kinds K,K] "
-            "[--capacity N] [--top N] script.py [args...]"
-        )
+    parser = _Parser("reprotrace")
+    parser.add_argument("-o", dest="outdir", default=".")
+    parser.add_argument("--kinds", type=_comma_list(_event_kind))
+    parser.add_argument("--capacity", type=_positive_int, default=1 << 16)
+    parser.add_argument("--top", type=int, default=10)
+    parser.add_argument("script")
+    parser.add_argument("args", nargs=argparse.REMAINDER)
+    args = parser.parse_args(argv)
+    script = args.script
     if not os.path.isfile(script):
-        raise UsageError(f"reprotrace: no such script: {script}")
+        parser.error(f"no such script: {script}")
 
-    session = replace(current(), trace_kinds=kinds,
-                      trace_capacity=capacity)
+    session = replace(current(), trace_kinds=args.kinds,
+                      trace_capacity=args.capacity)
     with session.run() as run:
-        script_runner(script, script_args)()
+        script_runner(script, args.args)()
     tracer = run.tracer
     if tracer is None:
         print(f"reprotrace: {script} never booted a kernel; "
@@ -441,28 +442,19 @@ def reprotrace_main(argv: Sequence[str],
         return 1
     from repro.trace.export import top_report, write_chrome, write_jsonl
 
-    os.makedirs(outdir, exist_ok=True)
+    os.makedirs(args.outdir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(script))[0]
-    jsonl_path = os.path.join(outdir, f"{stem}.trace.jsonl")
-    chrome_path = os.path.join(outdir, f"{stem}.chrome.json")
+    jsonl_path = os.path.join(args.outdir, f"{stem}.trace.jsonl")
+    chrome_path = os.path.join(args.outdir, f"{stem}.chrome.json")
     events = tracer.events()
     write_jsonl(events, jsonl_path)
     write_chrome(events, chrome_path)
     print(file=out)
-    print(top_report(tracer, top=top), file=out)
+    print(top_report(tracer, top=args.top), file=out)
     print(f"\nwrote {len(events)} events to {jsonl_path}", file=out)
     print(f"wrote chrome trace to {chrome_path} "
           f"(open in chrome://tracing)", file=out)
     return 0
-
-
-def reprotrace_entry() -> int:
-    """Console-script entry point (``reprotrace ...``)."""
-    try:
-        return reprotrace_main(sys.argv[1:])
-    except UsageError as error:
-        print(error, file=sys.stderr)
-        return 2
 
 
 # ----------------------------------------------------------------------
@@ -653,99 +645,48 @@ def reprochaos_main(argv: Sequence[str],
     single-kernel oracle.
     """
     out = stdout if stdout is not None else sys.stdout
-    seed = 1993
-    runs = 1
-    planes: Sequence[str] = _CHAOS_PLANES
-    rate = 0.005
-    planes_given = False
-    crash = False
-    stride = 1
-    max_points: Optional[int] = None
-    nblocks = 2048
-    net = False
-    ha = False
-    nodes = 4
-    scripts: List[str] = []
-
-    args = list(argv)
-    index = 0
-    while index < len(args):
-        arg = args[index]
-        if arg == "--seed":
-            seed = int(_value(args, index, "--seed"))
-            index += 2
-        elif arg == "--runs":
-            runs = int(_value(args, index, "--runs"))
-            index += 2
-        elif arg == "--planes":
-            names = _value(args, index, "--planes")
-            planes = [name.strip() for name in names.split(",")
-                      if name.strip()]
-            planes_given = True
-            index += 2
-        elif arg == "--rate":
-            rate = float(_value(args, index, "--rate"))
-            index += 2
-        elif arg == "--crash":
-            crash = True
-            index += 1
-        elif arg == "--stride":
-            stride = int(_value(args, index, "--stride"))
-            index += 2
-        elif arg == "--max-points":
-            max_points = int(_value(args, index, "--max-points"))
-            index += 2
-        elif arg == "--nblocks":
-            nblocks = int(_value(args, index, "--nblocks"))
-            index += 2
-        elif arg == "--net":
-            net = True
-            index += 1
-        elif arg == "--ha":
-            ha = True
-            index += 1
-        elif arg == "--nodes":
-            nodes = int(_value(args, index, "--nodes"))
-            index += 2
-        elif arg.startswith("-"):
-            raise UsageError(f"reprochaos: unknown option {arg!r}")
-        else:
-            scripts.append(arg)
-            index += 1
-    if not scripts:
-        raise UsageError(
-            "reprochaos: usage: reprochaos [--seed N] [--runs N] "
-            "[--planes P,P] [--rate F] [--crash [--stride N] "
-            "[--max-points N] [--nblocks N]] [--net|--ha [--nodes N]] "
-            "script.py..."
-        )
+    parser = _Parser("reprochaos")
+    parser.add_argument("--seed", type=int, default=1993)
+    parser.add_argument("--runs", type=int, default=1)
+    parser.add_argument("--planes", type=_comma_list(_plane))
+    parser.add_argument("--rate", type=float, default=0.005)
+    parser.add_argument("--crash", action="store_true")
+    parser.add_argument("--stride", type=int, default=1)
+    parser.add_argument("--max-points", type=int)
+    parser.add_argument("--nblocks", type=int, default=2048)
+    parser.add_argument("--net", action="store_true")
+    parser.add_argument("--ha", action="store_true")
+    parser.add_argument("--nodes", type=_positive_int, default=4)
+    parser.add_argument("scripts", nargs="+")
+    args = parser.parse_intermixed_args(argv)
+    seed, runs, rate, nodes = args.seed, args.runs, args.rate, args.nodes
+    scripts = args.scripts
     for script in scripts:
         if not os.path.isfile(script):
-            raise UsageError(f"reprochaos: no such script: {script}")
-    if net and crash:
-        raise UsageError("reprochaos: --net and --crash are separate "
-                         "soaks; pick one")
-    if ha and crash:
-        raise UsageError("reprochaos: --ha and --crash are separate "
-                         "soaks; pick one")
-    if ha:
-        net = True  # --ha layers the node plane on the net soak
-        if not planes_given:
-            # The availability soak targets the failure model: the
-            # default syscall/io fuzz would kill the differential
-            # oracle before recovery is ever exercised.
-            planes = []
+            parser.error(f"no such script: {script}")
+    if args.net and args.crash:
+        parser.error("--net and --crash are separate soaks; pick one")
+    if args.ha and args.crash:
+        parser.error("--ha and --crash are separate soaks; pick one")
+    net = args.net or args.ha  # --ha layers the node plane on the net soak
+    planes = args.planes
+    if planes is None:
+        # The availability soak targets the failure model: the default
+        # syscall/io fuzz would kill the differential oracle before
+        # recovery is ever exercised.
+        planes = [] if args.ha else list(_CHAOS_PLANES)
 
-    if crash:
+    if args.crash:
         print(f"reprochaos: crash soak, {len(scripts)} script(s), "
-              f"seed {seed}, stride {stride}"
-              + (f", max {max_points} point(s)" if max_points else ""),
+              f"seed {seed}, stride {args.stride}"
+              + (f", max {args.max_points} point(s)"
+                 if args.max_points else ""),
               file=out)
         failures: List[str] = []
         for script in scripts:
             failures.extend(
-                _crash_soak(script, seed, nblocks, stride, max_points,
-                            out))
+                _crash_soak(script, seed, args.nblocks, args.stride,
+                            args.max_points, out))
         if failures:
             for text in failures[:20]:
                 print(f"  FAIL {text}", file=out)
@@ -760,19 +701,16 @@ def reprochaos_main(argv: Sequence[str],
         if "net" not in planes:
             planes = list(planes) + ["net"]
         kinds = ("INJECT", "NET")
-    if ha:
+    if args.ha:
         if "node" not in planes:
             planes = list(planes) + ["node"]
         kinds = ("INJECT", "NET", "HA")
-    try:
-        plans = _campaign_plans(planes, rate)
-    except ValueError as error:
-        raise UsageError(f"reprochaos: {error}")
+    plans = _campaign_plans(planes, rate)
 
     print(f"reprochaos: {len(scripts)} script(s) x {runs} run(s), "
           f"base seed {seed}, rate {rate:g}"
           + (f", cluster of {nodes}" if net else "")
-          + (" (HA armed)" if ha else ""), file=out)
+          + (" (HA armed)" if args.ha else ""), file=out)
     for plan in plans:
         print(f"  plan: {plan.describe()}", file=out)
 
@@ -781,7 +719,7 @@ def reprochaos_main(argv: Sequence[str],
     inputs = script_inputs()
     if net:
         inputs["REPRO_CLUSTER"] = str(nodes)
-    if ha:
+    if args.ha:
         inputs["REPRO_HA"] = "1"
     failures = 0
     for script in scripts:
@@ -802,15 +740,6 @@ def reprochaos_main(argv: Sequence[str],
     print("reprochaos: OK (all faults contained, all replays "
           "bit-identical)", file=out)
     return 0
-
-
-def reprochaos_entry() -> int:
-    """Console-script entry point (``reprochaos ...``)."""
-    try:
-        return reprochaos_main(sys.argv[1:])
-    except UsageError as error:
-        print(error, file=sys.stderr)
-        return 2
 
 
 # ----------------------------------------------------------------------
@@ -860,52 +789,24 @@ def repronet_main(argv: Sequence[str],
     fault may escape the simulation's typed error channels.
     """
     out = stdout if stdout is not None else sys.stdout
-    args = list(argv)
-    if not args or args[0] not in ("topo", "run", "soak"):
-        raise UsageError(
-            "repronet: usage: repronet topo|run|soak [--nodes N] "
-            "[--seed N] [--hosts N] [--impl shm|file] [--readers a,b] "
-            "[--rate F] [--runs N]")
-    command = args[0]
-    nodes = 4
-    seed = 1993
-    hosts = 64
-    implementation = "shm"
-    readers: Optional[List[int]] = None
-    rate = 0.01
-    runs = 1
+    options = _Parser("repronet")
+    options.add_argument("--nodes", type=_positive_int, default=4)
+    options.add_argument("--seed", type=int, default=1993)
+    options.add_argument("--hosts", type=int, default=64)
+    options.add_argument("--impl", dest="implementation",
+                         choices=("shm", "file"), default="shm")
+    options.add_argument("--readers", type=_comma_list(int))
+    options.add_argument("--rate", type=float, default=0.01)
+    options.add_argument("--runs", type=int, default=1)
+    parser = _Parser("repronet")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command in ("topo", "run", "soak"):
+        commands.add_parser(command, parents=[options])
+    args = parser.parse_args(argv)
+    nodes, seed, hosts = args.nodes, args.seed, args.hosts
+    implementation = args.implementation
 
-    index = 1
-    while index < len(args):
-        arg = args[index]
-        if arg == "--nodes":
-            nodes = int(_value(args, index, "--nodes"))
-            index += 2
-        elif arg == "--seed":
-            seed = int(_value(args, index, "--seed"))
-            index += 2
-        elif arg == "--hosts":
-            hosts = int(_value(args, index, "--hosts"))
-            index += 2
-        elif arg == "--impl":
-            implementation = _value(args, index, "--impl")
-            index += 2
-        elif arg == "--readers":
-            names = _value(args, index, "--readers")
-            readers = [int(name) for name in names.split(",") if name]
-            index += 2
-        elif arg == "--rate":
-            rate = float(_value(args, index, "--rate"))
-            index += 2
-        elif arg == "--runs":
-            runs = int(_value(args, index, "--runs"))
-            index += 2
-        else:
-            raise UsageError(f"repronet: unknown option {arg!r}")
-    if implementation not in ("shm", "file"):
-        raise UsageError(f"repronet: unknown --impl {implementation!r}")
-
-    if command == "topo":
+    if args.command == "topo":
         from repro.net import Fabric, mix_seed
         from repro.sfs.sharedfs import MAX_INODES
 
@@ -925,9 +826,9 @@ def repronet_main(argv: Sequence[str],
                   file=out)
         return 0
 
-    if command == "run":
+    if args.command == "run":
         result = _net_scenario(nodes, seed, hosts, implementation,
-                               readers)
+                               args.readers)
         print(f"repronet: {implementation} rwho over {nodes} node(s), "
               f"{result['nhosts']} host(s), seed {seed}", file=out)
         print(f"  rounds: {result['broadcast_rounds']} broadcast + "
@@ -948,13 +849,14 @@ def repronet_main(argv: Sequence[str],
         return 0
 
     # soak
-    plans = _campaign_plans(["net"], rate)
+    plans = _campaign_plans(["net"], args.rate)
     print(f"repronet: soak, {nodes} node(s) x {hosts} host(s) x "
-          f"{runs} run(s), base seed {seed}, rate {rate:g}", file=out)
+          f"{args.runs} run(s), base seed {seed}, rate {args.rate:g}",
+          file=out)
     for plan in plans:
         print(f"  plan: {plan.describe()}", file=out)
     failures = 0
-    for run in range(runs):
+    for run in range(args.runs):
         run_seed = seed + run
         session = recording_session(interval=0,
                                     trace_kinds=("NET", "INJECT"),
@@ -972,15 +874,6 @@ def repronet_main(argv: Sequence[str],
     print("repronet: OK (all faults contained, all replays "
           "bit-identical)", file=out)
     return 0
-
-
-def repronet_entry() -> int:
-    """Console-script entry point (``repronet ...``)."""
-    try:
-        return repronet_main(sys.argv[1:])
-    except UsageError as error:
-        print(error, file=sys.stderr)
-        return 2
 
 
 # ----------------------------------------------------------------------
@@ -1005,23 +898,15 @@ def reprofsck_main(argv: Sequence[str],
     from repro.errors import DiskError
 
     out = stdout if stdout is not None else sys.stdout
-    verbose = False
-    paths: List[str] = []
-    for arg in argv:
-        if arg in ("--verbose", "-v"):
-            verbose = True
-        elif arg.startswith("-"):
-            raise UsageError(f"reprofsck: unknown option {arg!r}")
-        else:
-            paths.append(arg)
-    if not paths:
-        raise UsageError("reprofsck: usage: reprofsck [--verbose] "
-                         "image...")
+    parser = _Parser("reprofsck")
+    parser.add_argument("-v", "--verbose", action="store_true")
+    parser.add_argument("images", nargs="+")
+    args = parser.parse_intermixed_args(argv)
 
     dirty = 0
-    for path in paths:
+    for path in args.images:
         if not os.path.isfile(path):
-            raise UsageError(f"reprofsck: no such image: {path}")
+            parser.error(f"no such image: {path}")
         try:
             result = fsck_image(path)
         except DiskError as error:
@@ -1034,7 +919,7 @@ def reprofsck_main(argv: Sequence[str],
             print(result.report.render(), file=out)
         else:
             print(f"{path}: clean", file=out)
-        if verbose:
+        if args.verbose:
             inodes = ", ".join(f"{key}={count}" for key, count
                                in sorted(stats.inodes.items()))
             print(f"  generation {stats.generation}, applied txn "
@@ -1046,15 +931,6 @@ def reprofsck_main(argv: Sequence[str],
             print(f"  inodes: {inodes}; {stats.segments} public "
                   f"segment(s)", file=out)
     return 1 if dirty else 0
-
-
-def reprofsck_entry() -> int:
-    """Console-script entry point (``reprofsck ...``)."""
-    try:
-        return reprofsck_main(sys.argv[1:])
-    except UsageError as error:
-        print(error, file=sys.stderr)
-        return 2
 
 
 # ----------------------------------------------------------------------
@@ -1109,128 +985,60 @@ def reprorr_main(argv: Sequence[str],
     ``reprorr info recording.rrr`` prints the manifest summary.
     """
     out = stdout if stdout is not None else sys.stdout
-    args = list(argv)
-    if not args or args[0] not in ("record", "replay", "seek", "info"):
-        raise UsageError(
-            "reprorr: usage: reprorr record|replay|seek|info ..."
-        )
-    mode, args = args[0], args[1:]
+    parser = _Parser("reprorr")
+    modes = parser.add_subparsers(dest="mode", required=True)
+    record = modes.add_parser("record")
+    record.add_argument("-o", dest="output")
+    record.add_argument("--interval", type=int, default=DEFAULT_INTERVAL)
+    record.add_argument("--planes", type=_comma_list(_plane), default=[])
+    record.add_argument("--rate", type=float, default=0.005)
+    record.add_argument("--seed", type=int, default=1993)
+    record.add_argument("--kinds", type=_comma_list(_event_kind))
+    record.add_argument("--capacity", type=_positive_int)
+    record.add_argument("--nodes", type=_positive_int)
+    record.add_argument("script")
+    record.add_argument("args", nargs=argparse.REMAINDER)
+    replay, seek = modes.add_parser("replay"), modes.add_parser("seek")
+    for rerun in (replay, seek):
+        rerun.add_argument("--script")
+        rerun.add_argument("recording")
+    seek.add_argument("--cycle", type=int, required=True)
+    modes.add_parser("info").add_argument("recording")
+    args = parser.parse_args(argv)
 
-    if mode == "info":
-        if len(args) != 1:
-            raise UsageError("reprorr: usage: reprorr info "
-                             "recording.rrr")
-        print(_rr_load(args[0]).describe(), file=out)
+    if args.mode == "info":
+        print(_rr_load(args.recording).describe(), file=out)
         return 0
 
-    if mode in ("replay", "seek"):
-        script: Optional[str] = None
-        cycle: Optional[int] = None
-        paths: List[str] = []
-        index = 0
-        while index < len(args):
-            arg = args[index]
-            if arg == "--script":
-                script = _value(args, index, "--script")
-                index += 2
-            elif arg == "--cycle" and mode == "seek":
-                cycle = int(_value(args, index, "--cycle"))
-                index += 2
-            elif arg.startswith("-"):
-                raise UsageError(f"reprorr: unknown option {arg!r}")
-            else:
-                paths.append(arg)
-                index += 1
-        if len(paths) != 1:
-            raise UsageError(f"reprorr: {mode} takes exactly one "
-                             f"recording")
-        if mode == "seek" and cycle is None:
-            raise UsageError("reprorr: seek requires --cycle N")
-        recording = _rr_load(paths[0])
+    if args.mode in ("replay", "seek"):
+        script = args.script
+        recording = _rr_load(args.recording)
         if script is None and recording.manifest.get("script") \
                 and not os.path.isfile(recording.manifest["script"]):
-            raise UsageError(
-                f"reprorr: recorded script "
-                f"{recording.manifest['script']!r} not found; "
-                f"pass --script"
-            )
-        if mode == "replay":
+            parser.error(f"recorded script "
+                         f"{recording.manifest['script']!r} not found; "
+                         f"pass --script")
+        if args.mode == "replay":
             report = replay_script(recording, script)
             print(report.render(), file=out)
             return 0 if report.ok else 1
-        result = seek_script(recording, cycle, script)
+        result = seek_script(recording, args.cycle, script)
         print(result.render(), file=out)
         return 0 if result.digest_ok and result.suffix_identical else 1
 
-    # record
-    from repro.rr.recorder import DEFAULT_INTERVAL
-
-    output: Optional[str] = None
-    interval = DEFAULT_INTERVAL
-    planes: List[str] = []
-    rate = 0.005
-    seed = 1993
-    kinds: Optional[List[str]] = None
-    capacity: Optional[int] = None
-    nodes: Optional[int] = None
-    script = None
-    script_args: List[str] = []
-    index = 0
-    while index < len(args):
-        arg = args[index]
-        if arg == "-o":
-            output = _value(args, index, "-o")
-            index += 2
-        elif arg == "--interval":
-            interval = int(_value(args, index, "--interval"))
-            index += 2
-        elif arg == "--planes":
-            names = _value(args, index, "--planes")
-            planes = [name.strip() for name in names.split(",")
-                      if name.strip()]
-            index += 2
-        elif arg == "--rate":
-            rate = float(_value(args, index, "--rate"))
-            index += 2
-        elif arg == "--seed":
-            seed = int(_value(args, index, "--seed"))
-            index += 2
-        elif arg == "--kinds":
-            names = _value(args, index, "--kinds")
-            kinds = [name for name in names.split(",") if name.strip()]
-            index += 2
-        elif arg == "--capacity":
-            capacity = int(_value(args, index, "--capacity"))
-            index += 2
-        elif arg == "--nodes":
-            nodes = int(_value(args, index, "--nodes"))
-            index += 2
-        elif arg.startswith("-") and script is None:
-            raise UsageError(f"reprorr: unknown option {arg!r}")
-        else:
-            script = arg
-            script_args = args[index + 1:]
-            break
-    if script is None:
-        raise UsageError(
-            "reprorr: usage: reprorr record [-o file] [--interval N] "
-            "[--planes P,P] [--rate F] [--seed N] [--kinds K,K] "
-            "[--capacity N] [--nodes N] script.py [args...]"
-        )
+    script, output = args.script, args.output
     if not os.path.isfile(script):
-        raise UsageError(f"reprorr: no such script: {script}")
-    try:
-        plans = _campaign_plans(planes, rate) if planes else []
-    except ValueError as error:
-        raise UsageError(f"reprorr: {error}")
+        parser.error(f"no such script: {script}")
+    plans = _campaign_plans(args.planes, args.rate)
 
     inputs = script_inputs()
-    if nodes is not None:
-        inputs["REPRO_CLUSTER"] = str(nodes)
-    extra = {} if capacity is None else {"trace_capacity": capacity}
-    recording = record_script(script, script_args, inputs=inputs,
-                              interval=interval, plans=plans,
-                              inject_seed=seed, trace_kinds=kinds,
+    if args.nodes is not None:
+        inputs["REPRO_CLUSTER"] = str(args.nodes)
+    extra = {} if args.capacity is None \
+        else {"trace_capacity": args.capacity}
+    recording = record_script(script, args.args, inputs=inputs,
+                              interval=args.interval, plans=plans,
+                              inject_seed=args.seed, trace_kinds=args.kinds,
                               **extra)
     if output is None:
         stem = os.path.splitext(os.path.basename(script))[0]
@@ -1243,15 +1051,6 @@ def reprorr_main(argv: Sequence[str],
           f"{recording.outcome}", file=out)
     print(f"wrote {output} ({size} bytes)", file=out)
     return 0 if recording.outcome != "kernel-death" else 1
-
-
-def reprorr_entry() -> int:
-    """Console-script entry point (``reprorr ...``)."""
-    try:
-        return reprorr_main(sys.argv[1:])
-    except UsageError as error:
-        print(error, file=sys.stderr)
-        return 2
 
 
 def _san_examples_dir() -> str:
@@ -1334,65 +1133,42 @@ def reprosan_main(argv: Sequence[str],
     from repro.sanitize.corpus import case_named, san_cases
 
     out = stdout if stdout is not None else sys.stdout
-    args = list(argv)
-    if not args or args[0] not in ("list", "run", "soak", "sweep"):
-        raise UsageError(
-            "reprosan: usage: reprosan list|run|soak|sweep ..."
-        )
-    mode, args = args[0], args[1:]
+    parser = _Parser("reprosan")
+    modes = parser.add_subparsers(dest="mode", required=True)
+    modes.add_parser("list")
+    run = modes.add_parser("run")
+    run.add_argument("case")
+    run.add_argument("--limit", type=int, default=256)
+    run.add_argument("--replay", action="store_true")
+    run.add_argument("-o", dest="output")
+    modes.add_parser("soak")
+    modes.add_parser("sweep").add_argument(
+        "directory", nargs="?", default=_san_examples_dir())
+    args = parser.parse_args(argv)
 
-    if mode == "list":
+    if args.mode == "list":
         for case in san_cases():
             print(f"{case.name:24s} [{case.kind}] {case.title}",
                   file=out)
         return 0
 
-    if mode == "run":
-        limit = 256
-        replay = False
-        output: Optional[str] = None
-        name: Optional[str] = None
-        index = 0
-        while index < len(args):
-            arg = args[index]
-            if arg == "--limit":
-                limit = int(_value(args, index, "--limit"))
-                index += 2
-            elif arg == "--replay":
-                replay = True
-                index += 1
-            elif arg == "-o":
-                output = _value(args, index, "-o")
-                index += 2
-            elif arg.startswith("-"):
-                raise UsageError(f"reprosan: unknown option {arg!r}")
-            elif name is None:
-                name = arg
-                index += 1
-            else:
-                raise UsageError("reprosan: run takes exactly one CASE")
-        if name is None:
-            raise UsageError("reprosan: usage: reprosan run CASE "
-                             "[--limit N] [--replay] [-o FILE]")
+    if args.mode == "run":
         try:
-            case = case_named(name)
+            case = case_named(args.case)
         except KeyError:
             known = ", ".join(c.name for c in san_cases())
-            raise UsageError(f"reprosan: no corpus case {name!r} "
-                             f"(known: {known})")
-        if replay:
-            return _san_replay(case, out, output)
+            parser.error(f"no corpus case {args.case!r} (known: {known})")
+        if args.replay:
+            return _san_replay(case, out, args.output)
         with contextlib.redirect_stdout(io.StringIO()):
-            report = case.run(report_limit=limit)
+            report = case.run(report_limit=args.limit)
         print(report.render(), file=out)
         fired = case.expect in report.render()
         print(f"expected {case.expect!r}: "
               f"{'fired' if fired else 'MISSING'}", file=out)
         return 0 if fired else 1
 
-    if mode == "soak":
-        if args:
-            raise UsageError("reprosan: soak takes no arguments")
+    if args.mode == "soak":
         session = recording_session(
             interval=0, trace_kinds=("SAN",),
             sanitize_limit=DEFAULT_REPORT_LIMIT)
@@ -1420,15 +1196,13 @@ def reprosan_main(argv: Sequence[str],
         return 0 if failures == 0 else 1
 
     # sweep
-    if len(args) > 1:
-        raise UsageError("reprosan: usage: reprosan sweep [DIR]")
-    directory = args[0] if args else _san_examples_dir()
+    directory = args.directory
     if not os.path.isdir(directory):
-        raise UsageError(f"reprosan: no such directory: {directory}")
+        parser.error(f"no such directory: {directory}")
     scripts = sorted(entry for entry in os.listdir(directory)
                      if entry.endswith(".py"))
     if not scripts:
-        raise UsageError(f"reprosan: no *.py scripts in {directory}")
+        parser.error(f"no *.py scripts in {directory}")
     session = replace(current(), sanitize_limit=DEFAULT_REPORT_LIMIT)
     dirty = 0
     for script in scripts:
@@ -1453,15 +1227,6 @@ def reprosan_main(argv: Sequence[str],
     return 0 if dirty == 0 else 1
 
 
-def reprosan_entry() -> int:
-    """Console-script entry point (``reprosan ...``)."""
-    try:
-        return reprosan_main(sys.argv[1:])
-    except UsageError as error:
-        print(error, file=sys.stderr)
-        return 2
-
-
 def load_archive(kernel: Kernel, proc: Process, path: str) -> Archive:
     data = kernel.vfs.read_whole(path, proc.uid, cwd=proc.cwd)
     return Archive.from_bytes(data)
@@ -1474,50 +1239,38 @@ def _load_any(kernel: Kernel, proc: Process, path: str) -> ObjectFile:
         raise LinkError(f"{path!r} is not a HOF object: {error}")
 
 
-def _value(args: List[str], index: int, flag: str) -> str:
-    if index + 1 >= len(args):
-        raise UsageError(f"lds: {flag} needs a value")
-    return args[index + 1]
+#: The host tools, by the console-script name each is installed under.
+HOST_TOOLS = {
+    "reprotrace": reprotrace_main,
+    "reprochaos": reprochaos_main,
+    "repronet": repronet_main,
+    "reprofsck": reprofsck_main,
+    "reprorr": reprorr_main,
+    "reprosan": reprosan_main,
+}
 
 
-def _one_output_one_input(argv: Sequence[str], tool: str,
-                          extension: str) -> "tuple[str, str]":
-    args = list(argv)
-    output = None
-    inputs = []
-    index = 0
-    while index < len(args):
-        if args[index] == "-o":
-            output = _value(args, index, "-o")
-            index += 2
-        elif args[index].startswith("-"):
-            raise UsageError(f"{tool}: unknown option {args[index]!r}")
-        else:
-            inputs.append(args[index])
-            index += 1
-    if len(inputs) != 1:
-        raise UsageError(f"{tool}: exactly one input file required")
-    if output is None:
-        source = inputs[0]
-        base = source[: -len(extension)] if source.endswith(extension) \
-            else source
-        output = base + ".o"
-    return output, inputs[0]
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """The console entry point of every host tool; *argv* defaults to
+    ``sys.argv``, program name first.
+
+    The tool is the program name when installed as a console script
+    (``reprochaos --seed 7 ...``). Otherwise (``python -m
+    repro.tools.cli reprochaos --seed 7 ...``) it is the first argument,
+    or ``reprotrace`` when that names no tool. A usage error prints one
+    line on stderr and returns exit status 2.
+    """
+    args = list(sys.argv if argv is None else argv)
+    tool = os.path.basename(args.pop(0))
+    if tool not in HOST_TOOLS:
+        tool = args.pop(0) if args and args[0] in HOST_TOOLS \
+            else "reprotrace"
+    try:
+        return HOST_TOOLS[tool](args)
+    except UsageError as error:
+        print(error, file=sys.stderr)
+        return 2
 
 
-if __name__ == "__main__":  # pragma: no cover - console convenience
-    # ``python -m repro.tools.cli [reprotrace|reprochaos|reprofsck]``
-    # — the host-side tools; the rest run inside the simulation.
-    _ENTRIES = {"reprotrace": reprotrace_entry,
-                "reprochaos": reprochaos_entry,
-                "repronet": repronet_entry,
-                "reprofsck": reprofsck_entry,
-                "reprorr": reprorr_entry,
-                "reprosan": reprosan_entry}
-    _args = sys.argv[1:]
-    _entry = reprotrace_entry
-    if _args and _args[0] in _ENTRIES:
-        _entry = _ENTRIES[_args[0]]
-        _args = _args[1:]
-    sys.argv = [sys.argv[0]] + _args
-    sys.exit(_entry())
+if __name__ == "__main__":
+    sys.exit(main())

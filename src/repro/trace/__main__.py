@@ -3,6 +3,6 @@ reprotrace CLI (same as the ``reprotrace`` console script)."""
 
 import sys
 
-from repro.tools.cli import reprotrace_entry
+from repro.tools.cli import main
 
-sys.exit(reprotrace_entry())
+sys.exit(main(["reprotrace"] + sys.argv[1:]))

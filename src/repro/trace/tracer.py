@@ -163,10 +163,6 @@ class Tracer:
     def disable_kind(self, kind: EventKind) -> None:
         self.mask &= ~(1 << kind)
 
-    def set_kinds(self,
-                  kinds: Iterable[Union[EventKind, str]]) -> None:
-        self.mask = kinds_mask(kinds)
-
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Synchronization (file locks, semaphores) and IPC (queues, pipes)."""
+"""Synchronization (file locks, semaphores) and IPC (message queues)."""
 
 import pytest
 
 from repro.errors import SyscallError
 from repro.fs.vfs import O_CREAT, O_RDONLY
 from repro.hw.asm import assemble
-from repro.kernel.ipc import MessageQueue, Pipe
+from repro.kernel.ipc import MessageQueue
 from repro.kernel.process import ProcessState
 from repro.kernel.sync import Semaphore, WouldBlock
 from repro.kernel.syscalls import FLOCK_EX, FLOCK_TRY, FLOCK_UN
@@ -215,36 +215,6 @@ class TestMessageQueues:
         )
         kernel.schedule()
         assert consumer.exit_code == ord("p")
-
-
-class TestPipes:
-    def test_write_read(self, kernel, shell):
-        pipe = Pipe()
-        assert pipe.write(shell, b"hello") == 5
-        assert pipe.read(shell, 3) == b"hel"
-        assert pipe.read(shell, 10) == b"lo"
-
-    def test_read_empty_blocks(self, kernel, shell):
-        pipe = Pipe()
-        with pytest.raises(WouldBlock):
-            pipe.read(shell, 1)
-
-    def test_eof_when_writer_closed(self, kernel, shell):
-        pipe = Pipe()
-        pipe.write_open = False
-        assert pipe.read(shell, 10) == b""
-
-    def test_epipe_when_reader_closed(self, kernel, shell):
-        pipe = Pipe()
-        pipe.read_open = False
-        with pytest.raises(SyscallError):
-            pipe.write(shell, b"x")
-
-    def test_capacity_limit(self, kernel, shell):
-        pipe = Pipe()
-        written = pipe.write(shell, b"x" * (100 * 1024), blocking=False)
-        assert written == 64 * 1024
-        assert pipe.write(shell, b"y", blocking=False) == 0
 
 
 def _noop_body(_kernel, _proc):

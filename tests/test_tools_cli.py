@@ -1,14 +1,28 @@
-"""The toolchain command-line front ends (the lds wrapper surface)."""
+"""The command-line front ends: the toolchain (the lds wrapper surface)
+and the host tools' argument handling."""
+
+import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
+from repro.disk import BlockDevice
 from repro.tools.cli import (
     UsageError,
     ar_main,
     asm_main,
     lds_main,
+    main,
     nm_main,
     objdump_main,
+    reprochaos_main,
+    reprofsck_main,
+    repronet_main,
+    reprorr_main,
+    reprotrace_main,
     toycc_main,
 )
 
@@ -186,3 +200,95 @@ class TestSegls:
         assert any("[module]" in l for l in module_lines)
         assert any("[data]" in l for l in listing.splitlines()
                    if "/plain" in l)
+
+
+class TestHostUsageErrors:
+    """Bad host-tool command lines raise a UsageError naming the tool,
+    and reach the shell as one line on stderr with exit status 2."""
+
+    @pytest.mark.parametrize("command", [
+        "reprochaos --seed",
+        "reprochaos --seed abc s.py",
+        "reprorr seek --cycle x r.rrr",
+        "repronet run --nodes two",
+        "reprotrace --capacity 0 s.py",
+        "repronet topo --nodes 0",
+        "reprotrace --kinds BOGUS s.py",
+        "reprorr record --kinds BOGUS s.py",
+    ])
+    def test_usage_error_names_the_tool(self, command, tmp_path,
+                                        monkeypatch):
+        mains = {"reprochaos": reprochaos_main, "repronet": repronet_main,
+                 "reprorr": reprorr_main, "reprotrace": reprotrace_main}
+        tool, *argv = command.split()
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.py").write_text("")
+        with pytest.raises(UsageError) as caught:
+            mains[tool](argv)
+        assert str(caught.value).startswith(tool)
+
+    def test_options_after_the_script_reach_the_script(self, tmp_path):
+        script = tmp_path / "argv.py"
+        script.write_text("import sys\n"
+                          "with open(sys.argv[0] + '.out', 'w') as f:\n"
+                          "    f.write(' '.join(sys.argv[1:]))\n")
+        reprotrace_main([str(script), "--top", "3", "-o", "x"],
+                        stdout=io.StringIO())
+        assert (tmp_path / "argv.py.out").read_text() == "--top 3 -o x"
+
+    def test_console_script_name_picks_the_tool(self, capsys):
+        assert main(["/usr/local/bin/reprofsck", "/no/such.img"]) == 2
+        assert capsys.readouterr().err == \
+            "reprofsck: no such image: /no/such.img\n"
+
+    def test_entry_point_exits_2_with_one_line(self, tmp_path):
+        (tmp_path / "s.py").write_text("")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.tools.cli", "reprochaos", "--seed", "abc", "s.py"],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr.startswith("reprochaos: ")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
+
+class TestReprofsck:
+    @pytest.fixture
+    def clean_image(self, tmp_path):
+        device = BlockDevice(nblocks=2048)
+        system = repro.boot(disk=device)
+        system.vfs.write_whole("/shared/seg", b"payload")
+        system.kernel.shutdown()
+        path = str(tmp_path / "clean.hdsk")
+        device.save(path)
+        return path
+
+    def test_clean_image(self, clean_image, capsys):
+        assert reprofsck_main([clean_image]) == 0
+        assert capsys.readouterr().out == f"{clean_image}: clean\n"
+
+    def test_damaged_image(self, tmp_path, capsys):
+        path = str(tmp_path / "blank.hdsk")
+        BlockDevice(nblocks=64).save(path)  # never formatted
+        assert reprofsck_main([path]) == 1
+        assert "DSK001" in capsys.readouterr().out
+
+    def test_verbose_prints_statistics(self, clean_image, capsys):
+        assert reprofsck_main(["--verbose", clean_image]) == 0
+        out = capsys.readouterr().out
+        assert "  generation " in out
+        assert "  inodes: " in out
+
+    def test_unreadable_file_counts_as_dirty(self, clean_image, tmp_path,
+                                             capsys):
+        garbage = tmp_path / "garbage.hdsk"
+        garbage.write_bytes(b"not a device image")
+        assert reprofsck_main([clean_image, str(garbage)]) == 1
+        assert f"{garbage}: unreadable" in capsys.readouterr().out
+
+    def test_missing_path_is_a_usage_error(self, tmp_path):
+        with pytest.raises(UsageError, match="^reprofsck: no such image"):
+            reprofsck_main([str(tmp_path / "absent.hdsk")])
