@@ -17,6 +17,9 @@ def split_path(path: str) -> List[str]:
 def normalize(path: str, cwd: str = "/") -> str:
     """Produce a canonical absolute path, resolving ``.`` and ``..``
     lexically (symlink-aware resolution happens in the VFS)."""
+    if path.startswith("/") and "//" not in path and "/." not in path \
+            and (path[-1] != "/" or path == "/"):
+        return path  # already canonical
     if not path.startswith("/"):
         path = cwd.rstrip("/") + "/" + path
     stack: List[str] = []

@@ -179,27 +179,27 @@ class Vfs:
         inode = fs.root
         parent_fs, parent = fs, fs.root
         components = split_path(path)
-        walked: List[str] = []
+        walked = ""  # the components walked so far, as "/a/b"
         for index, name in enumerate(components):
             if not inode.is_dir:
                 raise NotADirectorySimError(
-                    "/" + "/".join(walked) + " is not a directory"
+                    (walked or "/") + " is not a directory"
                 )
             if not inode.check_access(uid, "x"):
                 raise PermissionSimError(
-                    "search permission denied on /" + "/".join(walked)
+                    "search permission denied on " + (walked or "/")
                 )
             parent_fs, parent = fs, inode
             child = fs.lookup(inode, name)
-            walked.append(name)
-            mounted = self._mounts.get("/" + "/".join(walked))
+            base = walked or "/"
+            walked += "/" + name
+            mounted = self._mounts.get(walked)
             if mounted is not None:
                 fs, child = mounted, mounted.root
             last = index == len(components) - 1
             if child.is_symlink and (follow or not last):
                 target = child.symlink_target or ""
                 rest = "/".join(components[index + 1:])
-                base = "/" + "/".join(walked[:-1])
                 new_path = normalize(
                     target if target.startswith("/")
                     else base.rstrip("/") + "/" + target

@@ -11,7 +11,8 @@ position to the root, but never down."
 This module provides the pure pieces: breadth-first ancestor iteration
 over the DAG, and export peeking — reading just the symbol table of an
 on-disk template or segment to decide whether it can satisfy a symbol,
-without instantiating it.
+without instantiating it. Each distinct symbol table is parsed once per
+boot (:attr:`Kernel.export_tables`); the reads themselves always run.
 """
 
 from __future__ import annotations
@@ -67,23 +68,34 @@ def peek_exports(kernel: Kernel, proc: Process,
         if size < 4:
             return None
         if path.endswith(".o"):
-            data = sys.pread(proc, fd, 0, size)
-            try:
-                obj = ObjectFile.from_bytes(data)
-            except ObjectFormatError:
-                return None
-            return {s.name: s.value for s in obj.defined_globals()}
+            return _exports_of(kernel, sys.pread(proc, fd, 0, size))
         if size < TRAILER.size:
             return None
         trailer = sys.pread(proc, fd, size - TRAILER.size, TRAILER.size)
         magic, image_len, meta_len, _reserved = TRAILER.unpack(trailer)
         if magic != TRAILER_MAGIC:
             return None
-        meta_bytes = sys.pread(proc, fd, image_len, meta_len)
-        try:
-            meta = ObjectFile.from_bytes(meta_bytes)
-        except ObjectFormatError:
-            return None
-        return {s.name: s.value for s in meta.defined_globals()}
+        return _exports_of(kernel, sys.pread(proc, fd, image_len, meta_len))
     finally:
         sys.close(proc, fd)
+
+
+def _exports_of(kernel: Kernel, data: bytes) -> Optional[Dict[str, int]]:
+    """Defined globals of the object image *data*, parsed once per boot.
+
+    The memo is keyed by the bytes the simulated read returned, so a
+    file rewritten in place, or a read the fault injector truncated or
+    bit-flipped, is simply a miss. The caller gets its own copy.
+    """
+    memo = kernel.export_tables
+    try:
+        exports = memo[data]
+    except KeyError:
+        try:
+            obj = ObjectFile.from_bytes(data)
+        except ObjectFormatError:
+            exports = None
+        else:
+            exports = {s.name: s.value for s in obj.defined_globals()}
+        memo[data] = exports
+    return None if exports is None else dict(exports)

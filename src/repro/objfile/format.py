@@ -270,7 +270,15 @@ class ObjectFile:
 
     @classmethod
     def from_bytes(cls, data: bytes, offset: int = 0) -> "ObjectFile":
-        reader = BinaryReader(data, offset)
+        """Parse an object image; any malformation is an
+        :class:`ObjectFormatError`, never a host exception."""
+        try:
+            return cls._read(BinaryReader(data, offset))
+        except ValueError as error:  # bad UTF-8 or an unknown enum code
+            raise ObjectFormatError(f"malformed object: {error}") from None
+
+    @classmethod
+    def _read(cls, reader: BinaryReader) -> "ObjectFile":
         magic = reader.raw(4)
         if magic != MAGIC:
             raise ObjectFormatError(

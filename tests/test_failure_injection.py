@@ -10,6 +10,8 @@ surgery survives only where no plane exists: damage to bytes *at rest*
 
 import pytest
 
+from repro import boot
+from repro.bench.workloads import make_shell
 from repro.errors import (
     InjectedFaultError,
     ObjectFormatError,
@@ -23,9 +25,12 @@ from repro.inject import (
     install_injector,
     remove_injector,
 )
+from repro.linker import ldl as ldl_module
 from repro.linker.classes import SharingClass
-from repro.linker.lds import LinkRequest, store_object
+from repro.linker.lds import Lds, LinkRequest, store_object
+from repro.linker.scoped import peek_exports
 from repro.linker.segments import read_segment_meta
+from repro.objfile.format import ObjectFile
 from repro.runtime.libshared import runtime_for
 from repro.runtime.views import Mem
 from repro.toyc import compile_source
@@ -146,6 +151,151 @@ class TestInjectedCorruptionMatrix:
                 output="/bin", search_dirs=["/shared/lib"],
             )
         remove_injector(kernel)
+
+
+HELPER = "/shared/lib/helper.o"
+
+#: ``mod`` calls ``helper``, which is on no module list: ldl finds it
+#: only by scanning mod's search directory, peeking every candidate.
+SCAN_SOURCES = {
+    "/shared/lib/mod.o": """
+        .searchdir /shared/lib
+        .text
+        .globl  func
+func:
+        addi    sp, sp, -8
+        sw      ra, 0(sp)
+        jal     helper
+        addi    v0, v0, 1
+        lw      ra, 0(sp)
+        addi    sp, sp, 8
+        jr      ra
+""",
+    HELPER: """
+        .text
+        .globl  helper
+helper:
+        li      v0, 41
+        jr      ra
+""",
+    "/main.o": """
+        .text
+        .globl  main
+main:
+        addi    sp, sp, -8
+        sw      ra, 0(sp)
+        jal     func
+        lw      ra, 0(sp)
+        addi    sp, sp, 8
+        jr      ra
+""",
+}
+
+
+def scan_boot():
+    kernel = boot(lazy=True).kernel
+    shell = make_shell(kernel)
+    kernel.vfs.makedirs("/shared/lib")
+    for path, source in SCAN_SOURCES.items():
+        store_object(kernel, shell, path,
+                     assemble(source, path.rsplit("/", 1)[-1]))
+    exe = Lds(kernel).link(
+        shell,
+        [LinkRequest("/main.o", SharingClass.STATIC_PRIVATE),
+         LinkRequest("mod.o", SharingClass.DYNAMIC_PUBLIC)],
+        output="/main", search_dirs=["/shared/lib"],
+    ).executable
+    return kernel, shell, exe
+
+
+def run_victim(kernel, exe):
+    """(outcome, cycles spent per category) of one run of *exe*."""
+    before = dict(kernel.clock.by_category)
+    try:
+        proc = kernel.create_machine_process("victim", exe)
+        kernel.run_until_exit(proc)
+        outcome = ("exit", proc.alive, proc.exit_code)
+    except SimulationError as error:
+        outcome = ("error", type(error).__name__, str(error))
+    spent = {k: v - before.get(k, 0)
+             for k, v in kernel.clock.by_category.items()}
+    return outcome, spent
+
+
+class TestScanFaultsPastAWarmExportMemo:
+    """The export memo is keyed by the bytes a read returned, so a
+    damaged read of a module whose clean table is already memoised is a
+    miss: the damage reaches the parse, and the run is the same as one
+    that never warmed the memo."""
+
+    def test_clean_scan_links_helper(self):
+        kernel, _, exe = scan_boot()
+        assert run_victim(kernel, exe)[0] == ("exit", False, 42)
+
+    @pytest.mark.parametrize("plane,kind,match,seed", [
+        pytest.param(Plane.IO, FaultKind.CORRUPT, HELPER, 1,
+                     id="io-corrupt"),
+        pytest.param(Plane.IO, FaultKind.CORRUPT, HELPER, 2,
+                     id="io-corrupt-bad-utf8"),
+        pytest.param(Plane.IO, FaultKind.SHORT_READ, HELPER, 1,
+                     id="io-short-read"),
+        pytest.param(Plane.LINKER, FaultKind.ERROR, "/shared/lib/*", 1,
+                     id="linker-error"),
+    ])
+    def test_warm_memo_changes_nothing(self, monkeypatch, plane, kind,
+                                       match, seed):
+        parsed = []
+        parse = ObjectFile.from_bytes
+        monkeypatch.setattr(
+            ObjectFile, "from_bytes",
+            lambda data, offset=0: parsed.append(data) or parse(data,
+                                                               offset))
+        helper_peeks = []
+
+        def peek(kernel, proc, path):
+            start = len(parsed)
+            exports = peek_exports(kernel, proc, path)
+            if path == HELPER:
+                helper_peeks.append((parsed[start:], exports))
+            return exports
+
+        monkeypatch.setattr(ldl_module, "peek_exports", peek)
+        runs = []
+        for warm in (False, True):
+            kernel, shell, exe = scan_boot()
+            if warm:
+                assert peek_exports(kernel, shell, HELPER) == {"helper": 0}
+                assert kernel.vfs.read_whole(HELPER) in kernel.export_tables
+            del helper_peeks[:]
+            injector = install_injector(
+                kernel, [FaultPlan(plane, kind, match=match)], seed=seed)
+            damaged = []
+            if plane is Plane.IO:
+                filter_read = injector.filter_read
+
+                def spy(path, data, **kwargs):
+                    out = filter_read(path, data, **kwargs)
+                    if out != data:
+                        damaged.append(out)
+                    return out
+
+                monkeypatch.setattr(injector, "filter_read", spy)
+            outcome, spent = run_victim(kernel, exe)
+            assert injector.stats.triggered >= 1, \
+                f"the {plane.value}:{kind.value} plane never fired"
+            assert outcome != ("exit", False, 42)
+            if plane is Plane.IO:
+                # Every scan of the helper parsed the damaged bytes it
+                # read; none was answered with the clean memoised table.
+                assert helper_peeks
+                for images, _ in helper_peeks:
+                    assert images and images[0] in damaged
+                if kind is FaultKind.SHORT_READ:
+                    assert all(exports is None
+                               for _, exports in helper_peeks)
+            runs.append((outcome, spent, injector.stats.triggered,
+                         [exports for _, exports in helper_peeks]))
+        assert runs[0] == runs[1]
 
 
 #: DISK-plane fault kinds driven against the durable store's write path.

@@ -1,6 +1,9 @@
 """File system tests: paths, volumes, VFS, mounts, symlinks, perms."""
 
+from typing import List
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
     FileExistsSimError,
@@ -44,6 +47,11 @@ class TestPaths:
         assert normalize("/../..") == "/"
         assert normalize(".", cwd="/x") == "/x"
 
+    def test_canonical_path_is_returned_unchanged(self):
+        path = "/shared/lib/m.o"
+        assert normalize(path, cwd="/elsewhere") is path
+        assert normalize("/") == "/"
+
     def test_split(self):
         assert split_path("/a/b/c") == ["a", "b", "c"]
         assert split_path("/") == []
@@ -58,6 +66,42 @@ class TestPaths:
         assert basename("/a/b/c") == "c"
         assert dirname("/") == "/"
         assert basename("/") == ""
+
+
+def reference_normalize(path: str, cwd: str = "/") -> str:
+    """The stack-based algorithm ``normalize`` runs when its canonical
+    fast path does not apply, kept here as the oracle for that path."""
+    if not path.startswith("/"):
+        path = cwd.rstrip("/") + "/" + path
+    stack: List[str] = []
+    for part in split_path(path):
+        if part == ".":
+            continue
+        if part == "..":
+            if stack:
+                stack.pop()
+            continue
+        stack.append(part)
+    return "/" + "/".join(stack)
+
+
+#: Paths over the pieces that exercise every normalisation rule.
+PATHS = st.lists(st.sampled_from(["a", ".", "..", "/", ".x"]),
+                 max_size=10).map("".join)
+
+
+class TestNormalizeMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(path=PATHS)
+    def test_absolute(self, path):
+        path = "/" + path
+        assert normalize(path) == reference_normalize(path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(path=PATHS, cwd=PATHS)
+    def test_cwd_relative(self, path, cwd):
+        cwd = "/" + cwd
+        assert normalize(path, cwd) == reference_normalize(path, cwd)
 
 
 class TestFilesAndDirs:
@@ -285,6 +329,41 @@ class TestMounts:
         vfs.write_whole("/f", b"x")
         with pytest.raises(FilesystemError):
             vfs.rename("/f", "/m/f")
+
+
+class TestWalkErrors:
+    """The walk names the prefix it had reached, byte for byte."""
+
+    def test_not_a_directory(self, vfs):
+        vfs.makedirs("/a/b")
+        vfs.write_whole("/a/b/f", b"x")
+        with pytest.raises(NotADirectorySimError) as info:
+            vfs.resolve("/a/b/f/g/h")
+        assert str(info.value) == "/a/b/f is not a directory"
+
+    def test_search_permission_denied(self, vfs):
+        vfs.makedirs("/a/b")
+        vfs.mkdir("/a/b/secret", uid=0, mode=0o700)
+        with pytest.raises(PermissionSimError) as info:
+            vfs.resolve("/a/b/secret/f", uid=2)
+        assert str(info.value) == "search permission denied on /a/b/secret"
+
+    def test_search_permission_denied_on_root(self, vfs):
+        vfs.rootfs.root.mode = 0o700
+        with pytest.raises(PermissionSimError) as info:
+            vfs.resolve("/a", uid=2)
+        assert str(info.value) == "search permission denied on /"
+
+    def test_nested_mounts_and_relative_symlink(self, pm):
+        vfs = Vfs(Filesystem(pm, "root"))
+        outer, inner = Filesystem(pm, "outer"), Filesystem(pm, "inner")
+        vfs.mount("/m", outer)
+        vfs.mount("/m/n", inner)
+        vfs.write_whole("/m/n/f", b"deep")
+        vfs.symlink("n/f", "/m/link")
+        assert vfs.resolve("/m/n/f")[0] is inner
+        assert vfs.resolve("/m/link")[0] is inner
+        assert vfs.read_whole("/m/link") == b"deep"
 
 
 class TestWalk:

@@ -6,6 +6,9 @@ static verifier is exercised on exactly the scope shapes the real
 traversal produces.
 """
 
+from repro import boot
+from repro.bench.workloads import make_shell
+from repro.linker import scoped
 from repro.linker.classes import SharingClass
 from repro.linker.ldl import LoadedModule
 from repro.linker.scoped import peek_exports, scope_chain
@@ -157,3 +160,95 @@ class TestPeekExports:
         misses = [node.exports().get("nowhere")
                   for node in scope_chain(root)]
         assert misses == [None]
+
+
+def template(name, *exports):
+    obj = ObjectFile(name)
+    obj.text.extend(bytes(4))
+    for sym in exports:
+        obj.symbols[sym] = Symbol(sym, SEC_TEXT, 0)
+    return obj.to_bytes()
+
+
+class TestExportMemo:
+    """Each distinct symbol table is parsed once per boot; the reads
+    that find it still run and are still charged."""
+
+    def put(self, kernel, path, data):
+        kernel.vfs.write_whole(path, data, 0)
+
+    def test_module_has_no_dict_state(self):
+        module_dicts = [name for name, value in vars(scoped).items()
+                        if isinstance(value, dict)
+                        and not name.startswith("__")]
+        assert module_dicts == []
+
+    def test_two_boots_share_no_memo(self):
+        first = boot().kernel
+        first_shell = make_shell(first)
+        first.vfs.makedirs("/src")
+        self.put(first, "/src/m.o", template("m.o", "fn"))
+        assert peek_exports(first, first_shell, "/src/m.o") == {"fn": 0}
+        assert len(first.export_tables) == 1
+        second = boot().kernel
+        assert second.export_tables == {}
+        assert second.export_tables is not first.export_tables
+
+    def test_hit_skips_the_parse_but_not_the_syscalls(self, kernel, shell,
+                                                      dirs, monkeypatch):
+        self.put(kernel, "/src/m.o", template("m.o", "fn"))
+        parses = []
+        parse = ObjectFile.from_bytes
+        monkeypatch.setattr(
+            ObjectFile, "from_bytes",
+            lambda data, offset=0: parses.append(data) or parse(data,
+                                                               offset))
+
+        def peek_cost():
+            before = dict(kernel.clock.by_category)
+            assert peek_exports(kernel, shell, "/src/m.o") == {"fn": 0}
+            return {k: v - before.get(k, 0)
+                    for k, v in kernel.clock.by_category.items()}
+
+        peek_cost()  # the first read also pages the file in
+        hit = peek_cost()
+        assert len(parses) == 1
+        kernel.export_tables.clear()
+        miss = peek_cost()
+        assert len(parses) == 2
+        assert hit == miss and hit["syscalls"] > 0
+
+    def test_segment_trailer_is_memoised(self, kernel, shell, dirs):
+        meta = ObjectFile("seg", kind=ObjectKind.SEGMENT)
+        meta.symbols["fn"] = Symbol("fn", SEC_ABS, 0x3000_0010)
+        meta_bytes = meta.to_bytes()
+        self.put(kernel, "/src/seg", bytes(64) + meta_bytes + TRAILER.pack(
+            TRAILER_MAGIC, 64, len(meta_bytes), 0))
+        for _ in range(2):
+            assert peek_exports(kernel, shell, "/src/seg") == \
+                {"fn": 0x3000_0010}
+        assert kernel.export_tables == {meta_bytes: {"fn": 0x3000_0010}}
+
+    def test_rewritten_template_gives_new_exports(self, kernel, shell,
+                                                  dirs):
+        self.put(kernel, "/src/m.o", template("m.o", "old"))
+        assert peek_exports(kernel, shell, "/src/m.o") == {"old": 0}
+        self.put(kernel, "/src/m.o", template("m.o", "new", "newer"))
+        assert peek_exports(kernel, shell, "/src/m.o") == \
+            {"new": 0, "newer": 0}
+
+    def test_mutating_a_result_does_not_reach_the_memo(self, kernel, shell,
+                                                       dirs):
+        self.put(kernel, "/src/m.o", template("m.o", "fn"))
+        exports = peek_exports(kernel, shell, "/src/m.o")
+        exports["planted"] = 0x1234
+        del exports["fn"]
+        assert peek_exports(kernel, shell, "/src/m.o") == {"fn": 0}
+
+    def test_garbage_stays_none_on_a_repeated_peek(self, kernel, shell,
+                                                   dirs):
+        garbage = b"XXXXnot an object at all"
+        self.put(kernel, "/src/bad.o", garbage)
+        assert peek_exports(kernel, shell, "/src/bad.o") is None
+        assert kernel.export_tables == {garbage: None}
+        assert peek_exports(kernel, shell, "/src/bad.o") is None

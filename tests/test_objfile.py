@@ -72,6 +72,29 @@ class TestSerialization:
         with pytest.raises(ObjectFormatError):
             ObjectFile.from_bytes(data[: len(data) // 2])
 
+    def test_invalid_utf8_name_is_a_format_error(self):
+        data = bytearray(sample_object().to_bytes())
+        data[7] = 0xFF  # first byte of the object's name
+        with pytest.raises(ObjectFormatError):
+            ObjectFile.from_bytes(bytes(data))
+
+    def test_unknown_kind_code_is_a_format_error(self):
+        data = bytearray(sample_object().to_bytes())
+        data[4] = 0xEE
+        with pytest.raises(ObjectFormatError):
+            ObjectFile.from_bytes(bytes(data))
+
+    @settings(max_examples=300, deadline=None)
+    @given(bit=st.integers(min_value=0))
+    def test_any_bit_flip_parses_or_is_a_format_error(self, bit):
+        data = bytearray(sample_object().to_bytes())
+        bit %= len(data) * 8
+        data[bit // 8] ^= 1 << (bit % 8)
+        try:
+            ObjectFile.from_bytes(bytes(data))
+        except ObjectFormatError:
+            pass
+
     def test_clone_is_deep(self):
         obj = sample_object()
         clone = obj.clone()
