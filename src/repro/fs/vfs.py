@@ -191,7 +191,6 @@ class Vfs:
                 )
             parent_fs, parent = fs, inode
             child = fs.lookup(inode, name)
-            base = walked or "/"
             walked += "/" + name
             mounted = self._mounts.get(walked)
             if mounted is not None:
@@ -202,7 +201,7 @@ class Vfs:
                 rest = "/".join(components[index + 1:])
                 new_path = normalize(
                     target if target.startswith("/")
-                    else base.rstrip("/") + "/" + target
+                    else walked[:-len(name) - 1] + "/" + target
                 )
                 if rest:
                     new_path = new_path.rstrip("/") + "/" + rest

@@ -102,10 +102,10 @@ class Kernel:
         self._wait_blocked: set = set()
         self.quantum = DEFAULT_QUANTUM
         # The boot's parsed export tables (repro.linker.scoped), keyed
-        # by the exact object bytes a simulated read returned; None
-        # marks bytes that do not parse. Host-only: every open, fstat
+        # by the exact object bytes a simulated read returned; bytes
+        # that do not parse are not kept. Host-only: every open, fstat
         # and pread still runs and is charged.
-        self.export_tables: Dict[bytes, Optional[Dict[str, int]]] = {}
+        self.export_tables: Dict[bytes, Dict[str, int]] = {}
         # Hooks the runtime package registers at import/attach time so
         # exec can wire crt0/ldl without a kernel->runtime dependency.
         self.on_exec: Optional[Callable[[Process, ObjectFile], None]] = None

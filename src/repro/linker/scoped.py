@@ -85,17 +85,16 @@ def _exports_of(kernel: Kernel, data: bytes) -> Optional[Dict[str, int]]:
 
     The memo is keyed by the bytes the simulated read returned, so a
     file rewritten in place, or a read the fault injector truncated or
-    bit-flipped, is simply a miss. The caller gets its own copy.
+    bit-flipped, is simply a miss. Bytes that do not parse are not kept:
+    a damaged read is unique, so keeping it would only hold memory. The
+    caller gets its own copy.
     """
-    memo = kernel.export_tables
-    try:
-        exports = memo[data]
-    except KeyError:
+    exports = kernel.export_tables.get(data)
+    if exports is None:
         try:
             obj = ObjectFile.from_bytes(data)
         except ObjectFormatError:
-            exports = None
-        else:
-            exports = {s.name: s.value for s in obj.defined_globals()}
-        memo[data] = exports
-    return None if exports is None else dict(exports)
+            return None
+        exports = {s.name: s.value for s in obj.defined_globals()}
+        kernel.export_tables[data] = exports
+    return dict(exports)
